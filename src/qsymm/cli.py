@@ -426,6 +426,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ConsistencyError, IntegralityError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        # the input is too large to process, which is no verification result
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

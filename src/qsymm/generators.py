@@ -45,7 +45,7 @@ from .compositions import (
     weight,
     wll_key,
 )
-from .elements import QSymmElement, Scalar
+from .elements import QSymmElement
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
 from .symmetric import E_BASIS, SymmPoly, e_compose_p, _p_in_e
@@ -337,15 +337,101 @@ def det_bareiss(rows: Iterable[Iterable[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1:]
         for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
+            row_i = a[i]
             factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            if factor:
+                row_i[k + 1:] = [(x * pivot - factor * y) // prev for x, y in zip(row_i[k + 1:], tail_k)]
+            elif pivot != prev:
+                # a zero factor only rescales the row by pivot/prev
+                row_i[k + 1:] = [x * pivot // prev for x in row_i[k + 1:]]
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
+    """Exact determinant of the square matrix whose i-th row is `rows[i]`,
+    given sparsely as {column: nonzero entry} with columns in range(n).
+
+    Eliminates with +1/-1 pivots only, so no step divides: each step takes
+    the column with the fewest nonzeros that holds a unit entry and, in it,
+    the shortest row with a unit entry (a Markowitz-style choice that keeps
+    fill-in low). Whatever is left without a unit pivot goes to
+    `det_bareiss`. The dicts are consumed.
+    """
+    n = len(rows)
+    col_rows: dict[int, set[int]] = {c: set() for c in range(n)}
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(r)
+    det = 1
+    pivot_col: dict[int, int] = {}
+    while col_rows:
+        best_col = -1
+        best_len = n + 1
+        for c, rs in col_rows.items():
+            length = len(rs)
+            if not length:
+                return 0
+            if length < best_len and any(rows[r][c] in (1, -1) for r in rs):
+                best_col, best_len = c, length
+                if length == 1:
+                    break
+        if best_col < 0:
+            break
+        c = best_col
+        rs = col_rows.pop(c)
+        r = min((s for s in rs if rows[s][c] in (1, -1)), key=lambda s: (len(rows[s]), s))
+        rs.discard(r)
+        pivot_row = rows[r]
+        p = pivot_row.pop(c)
+        det *= p
+        pivot_col[r] = c
+        for k in pivot_row:
+            col_rows[k].discard(r)
+        for s in rs:
+            row = rows[s]
+            f = row.pop(c) * p
+            for k, v in pivot_row.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    if k not in row:
+                        col_rows[k].add(s)
+                    row[k] = x
+                else:
+                    del row[k]
+                    col_rows[k].discard(s)
+            if not row:
+                return 0
+    if col_rows:
+        rest_rows = [r for r in range(n) if r not in pivot_col]
+        rest_cols = sorted(col_rows)
+        for r, c in zip(rest_rows, rest_cols):
+            pivot_col[r] = c
+        det *= det_bareiss([[rows[r].get(c, 0) for c in rest_cols] for r in rest_rows])
+    return _permutation_sign(pivot_col) * det
+
+
+def _permutation_sign(perm: dict[int, int]) -> int:
+    """Sign of a permutation given as {i: perm(i)}."""
+    sign = 1
+    seen: set[int] = set()
+    for start in perm:
+        if start in seen:
+            continue
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 @dataclass(frozen=True)
@@ -415,16 +501,19 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
             f"weight {w}: {len(monos)} generator monomials vs "
             f"{len(comps)} compositions; transition matrix is not square"
         )
-    columns: list[dict[Composition, Scalar]] = []
+    index = {comp: i for i, comp in enumerate(comps)}
+    columns: list[dict[int, int]] = []
     for mono in monos:
         el = expander(mono)
         if not el.is_integral() or not el.is_homogeneous(w):
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
-        columns.append(dict(el.terms()))
+        columns.append({index[comp]: int(q) for comp, q in el.terms()})
     matrix = tuple(
-        tuple(int(col.get(comp, 0)) for col in columns) for comp in comps
+        tuple(col.get(i, 0) for col in columns) for i in range(len(comps))
     )
-    det = det_bareiss(matrix)
+    # the columns of the matrix are the rows of its transpose, which has
+    # the same determinant
+    det = _det_unit_pivot(columns)
     if det not in (1, -1):
         raise ConsistencyError(
             f"weight {w} transition matrix has determinant {det}, not +1/-1"

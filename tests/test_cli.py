@@ -188,3 +188,12 @@ class TestHelp:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+class TestResourceLimits:
+    def test_deep_composition_is_usage_error(self, capsys):
+        ones = "[" + ",".join(["1"] * 1500) + "]"
+        code, _, err = invoke(capsys, "product", ones, "[1]")
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1

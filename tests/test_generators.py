@@ -13,6 +13,7 @@ from qsymm.compositions import (
 from qsymm.elements import QSymmElement
 from qsymm.generators import (
     GeneratorPolynomial,
+    _det_unit_pivot,
     certificate_to_json_obj,
     det_bareiss,
     enumerate_generator_monomials,
@@ -204,6 +205,62 @@ class TestDeterminant:
             det_bareiss([[1, 2]])
 
 
+def unit_pivot_det(m):
+    return _det_unit_pivot([{j: v for j, v in enumerate(row) if v} for row in m])
+
+
+class TestUnitPivotDeterminant:
+    def test_random_sparse_against_references(self):
+        rng = random.Random(31)
+        singular = 0
+        for n in range(1, 9):
+            for _ in range(15):
+                density = rng.choice([0.2, 0.4, 0.7])
+                m = [
+                    [rng.choice([-3, -2, -1, 1, 1, 2]) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if n >= 2 and rng.random() < 0.25:
+                    i, j = rng.sample(range(n), 2)
+                    m[i] = [2 * v for v in m[j]]
+                expected = cofactor_det(m) if n <= 7 else det_bareiss(m)
+                singular += expected == 0
+                assert unit_pivot_det(m) == expected == det_bareiss(m)
+        assert singular > 0
+
+    def test_no_unit_entry_falls_back_to_bareiss(self):
+        assert unit_pivot_det([[2, 3], [3, 5]]) == 1
+        assert unit_pivot_det([[1, 0, 0], [0, 2, 3], [0, 3, 5]]) == 1
+        # one unit pivot, then a 2x2 block without a unit entry
+        m = [[2, 1, 0], [0, 2, 3], [4, 3, 5]]
+        assert unit_pivot_det(m) == cofactor_det(m) == 14
+
+    def test_permutation_sign(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+                assert unit_pivot_det(m) == det_bareiss(m) == cofactor_det(m)
+
+    def test_empty_matrix(self):
+        assert unit_pivot_det([]) == 1 == det_bareiss([])
+
+    def test_singular_with_empty_column(self):
+        assert unit_pivot_det([[1, 0], [1, 0]]) == 0
+        assert unit_pivot_det([[1, 1, 0], [1, 1, 0], [0, 1, 1]]) == 0
+
+    def test_certificate_matrices(self):
+        for generators, max_weight in (("elementary", 9), ("product", 5)):
+            for w in range(1, max_weight + 1):
+                cert = freeness_certificate(w, generators)
+                det = unit_pivot_det(cert.matrix)
+                assert det == cert.determinant == det_bareiss(cert.matrix)
+                if w <= 4:
+                    assert det == cofactor_det([list(row) for row in cert.matrix])
+
+
 class TestCertificates:
     def test_weight_one(self):
         cert = freeness_certificate(1)
@@ -225,6 +282,14 @@ class TestCertificates:
             cert = freeness_certificate(w)
             assert cert.monomial_count == 2 ** (w - 1)
             assert cert.composition_count == 2 ** (w - 1)
+            assert cert.determinant in (1, -1)
+
+    def test_unimodular_at_weights_nine_and_ten(self):
+        for w in (9, 10):
+            cert = freeness_certificate(w)
+            assert cert.monomial_count == cert.composition_count == 2 ** (w - 1)
+            assert len(cert.matrix) == cert.size
+            assert all(len(row) == cert.size for row in cert.matrix)
             assert cert.determinant in (1, -1)
 
     def test_express_matches_linear_solve(self):
