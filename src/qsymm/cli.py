@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Sequence
 
 from .compositions import (
@@ -46,7 +46,7 @@ from .lambda_ops import (
     frobenius,
     lambda_n,
 )
-from .oracle import oracle_suite
+from .oracle import OracleCheck, oracle_suite
 from .symmetric import e_compose_p, format_symm, plethysm_compat_check
 
 
@@ -76,39 +76,21 @@ def _emit_element(el: QSymmElement, args: argparse.Namespace) -> None:
 # -- verification report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    identity: str
-    instance: str
-    status: str
-    lhs: str
-    rhs: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "instance": self.instance,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+def _vcheck(identity: str, instance: str, ok: bool, lhs: str = "", rhs: str = "") -> OracleCheck:
+    return OracleCheck(identity, instance, "pass" if ok else "fail", lhs, rhs)
 
 
-def _vcheck(identity: str, instance: str, ok: bool, lhs: str = "", rhs: str = "") -> VerifyCheck:
-    return VerifyCheck(identity, instance, "pass" if ok else "fail", lhs, rhs)
-
-
-def verify_all(max_weight: int) -> list[VerifyCheck]:
+def verify_all(max_weight: int) -> list[OracleCheck]:
     """Run every verification suite up to the given weight: the polynomial
     oracle, express round trips, lambda leading terms, plethysm
     compatibility, the exponential identity, and freeness certificates for
     both generator families."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    checks: list[VerifyCheck] = []
-
-    for c in oracle_suite(max_weight, max_weight).checks:
-        checks.append(VerifyCheck(f"oracle/{c.identity}", c.instance, c.status, c.lhs, c.rhs))
+    checks = [
+        replace(c, identity=f"oracle/{c.identity}")
+        for c in oracle_suite(max_weight, max_weight).checks
+    ]
 
     for w in range(1, max_weight + 1):
         for beta in enumerate_compositions(w):
@@ -303,7 +285,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     checks = verify_all(args.max_weight)
     if args.json is not None:
         _write(_dump_json([c.to_json_obj() for c in checks]), args.json)
-    by_suite: dict[str, list[VerifyCheck]] = {}
+    by_suite: dict[str, list[OracleCheck]] = {}
     for c in checks:
         by_suite.setdefault(c.identity.split("/")[0], []).append(c)
     failed = 0

@@ -16,33 +16,27 @@ leading term is always first and output is reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
+from ._sparse import (  # Scalar and _norm_scalar stay importable from here
+    Scalar,
+    SparseTerms,
+    _format_terms,
+    _norm_scalar,
+    _parse_json_coeff,
+    _parse_terms,
+    _scan_rational,
+)
 from .compositions import (
     Composition,
     composition,
     format_composition,
     parse_composition,
     _parse_composition_at,
-    _skip_ws,
     wll_key,
 )
 from .errors import ParseError
-
-Scalar = Union[int, Fraction]
-
-
-def _norm_scalar(q: Scalar) -> Scalar:
-    """Collapse integer-valued fractions to int; ints stay ints."""
-    if isinstance(q, Fraction):
-        if q.denominator == 1:
-            return q.numerator
-        return q
-    if isinstance(q, int) and not isinstance(q, bool):
-        return q
-    raise TypeError(f"coefficients must be int or Fraction, got {type(q).__name__}")
 
 
 @lru_cache(maxsize=None)
@@ -161,33 +155,16 @@ _PRODUCT_CACHE_CAP = 512
 _product_cache: dict[tuple, "QSymmElement"] = {}
 
 
-class QSymmElement:
+class QSymmElement(SparseTerms):
     """A finite rational combination of compositions, in canonical form
     (no zero coefficients, terms sorted wll-descending)."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
+    _order = staticmethod(wll_key)
+    _descending = True
 
     def __init__(self, terms: Mapping[Composition, Scalar] | Iterable[tuple[Composition, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Composition, Scalar] = {}
-        for comp, q in items:
-            comp = composition(comp)
-            q = _norm_scalar(q)
-            q = acc.get(comp, 0) + q
-            if q:
-                acc[comp] = q
-            else:
-                acc.pop(comp, None)
-        self._terms = {c: _norm_scalar(acc[c]) for c in sorted(acc, key=wll_key, reverse=True)}
-        self._hash: int | None = None
-
-    @classmethod
-    def zero(cls) -> "QSymmElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QSymmElement":
-        return cls({(): 1})
+        self._init_terms(terms, composition)
 
     @classmethod
     def monomial(cls, comp: Iterable[int], coeff: Scalar = 1) -> "QSymmElement":
@@ -195,25 +172,11 @@ class QSymmElement:
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Composition, Scalar]]:
-        """Iterate (composition, coefficient) pairs, wll-descending."""
-        return iter(self._terms.items())
-
     def compositions(self) -> Iterator[Composition]:
         return iter(self._terms)
 
     def coefficient(self, comp: Iterable[int]) -> Scalar:
         return self._terms.get(composition(comp), 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_integral(self) -> bool:
-        """True iff every coefficient is an integer."""
-        return all(q.denominator == 1 for q in self._terms.values())
 
     def is_homogeneous(self, w: int) -> bool:
         """True iff every present composition has weight `w` (vacuously true
@@ -236,69 +199,22 @@ class QSymmElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "QSymmElement") -> "QSymmElement":
-        if not isinstance(other, QSymmElement):
-            return NotImplemented
-        acc = dict(self._terms)
-        for comp, q in other._terms.items():
-            s = acc.get(comp, 0) + q
-            if s:
-                acc[comp] = s
-            else:
-                acc.pop(comp, None)
-        return QSymmElement(acc)
-
-    def __neg__(self) -> "QSymmElement":
-        return QSymmElement({c: -q for c, q in self._terms.items()})
-
-    def __sub__(self, other: "QSymmElement") -> "QSymmElement":
-        if not isinstance(other, QSymmElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: Union["QSymmElement", Scalar]) -> "QSymmElement":
-        if isinstance(other, QSymmElement):
-            # Few or short terms: per-pair shuffles, memoized across calls.
-            # Two long operands: the trie route shares common-suffix work,
-            # and the whole product is worth caching.
-            if len(self._terms) * len(other._terms) <= 64:
-                return QSymmElement(_mul_pairwise(self, other))
-            key = (self, other) if hash(self) <= hash(other) else (other, self)
-            cached = _product_cache.get(key)
-            if cached is None:
-                cached = QSymmElement(_mul_trie(self, other))
-                while len(_product_cache) >= _PRODUCT_CACHE_CAP:
-                    _product_cache.pop(next(iter(_product_cache)))
-                _product_cache[key] = cached
-            return cached
-        q = _norm_scalar(other)
-        if not q:
-            return QSymmElement()
-        return QSymmElement({c: v * q for c, v in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "QSymmElement":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "QSymmElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = QSymmElement.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSymmElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(self._terms.items()))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"QSymmElement({format_element(self)!r})"
+            return self._scale(other)
+        # Few or short terms: per-pair shuffles, memoized across calls.
+        # Two long operands: the trie route shares common-suffix work,
+        # and the whole product is worth caching.
+        if len(self._terms) * len(other._terms) <= 64:
+            return QSymmElement._from_dict(_mul_pairwise(self, other))
+        key = (self, other) if hash(self) <= hash(other) else (other, self)
+        cached = _product_cache.get(key)
+        if cached is None:
+            cached = QSymmElement._from_dict(_mul_trie(self, other))
+            while len(_product_cache) >= _PRODUCT_CACHE_CAP:
+                _product_cache.pop(next(iter(_product_cache)))
+            _product_cache[key] = cached
+        return cached
 
     def __str__(self) -> str:
         return format_element(self)
@@ -310,108 +226,48 @@ def quasi_shuffle(a: Iterable[int], b: Iterable[int]) -> QSymmElement:
     >>> print(quasi_shuffle((1,), (1,)))
     2*[1,1] + [2]
     """
-    return QSymmElement(_shuffle_terms(composition(a), composition(b)))
+    return QSymmElement._from_dict(dict(_shuffle_terms(composition(a), composition(b))))
 
 
 # -- text and JSON forms ----------------------------------------------------
 
 
-def _format_coeff(q: Scalar) -> str:
-    return str(q)
-
-
 def format_element(el: QSymmElement) -> str:
     """Render in wll-descending order, e.g. `2*[1,1] + [2]`; zero is `0`."""
-    if not el:
-        return "0"
-    chunks: list[tuple[str, str]] = []
-    for comp, q in el.terms():
-        sign = "-" if q < 0 else "+"
-        mag = -q if q < 0 else q
-        body = format_composition(comp) if mag == 1 else f"{_format_coeff(mag)}*{format_composition(comp)}"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _format_terms((q, format_composition(comp)) for comp, q in el.terms())
+
+
+def _parse_bare_composition(s: str, pos: int) -> tuple[Composition, int]:
+    if pos >= len(s) or s[pos] != "[":
+        raise ParseError("expected a coefficient or '['", pos)
+    return _parse_composition_at(s, pos)
 
 
 def parse_element(s: str) -> QSymmElement:
     """Parse element text: signed terms `coeff*[comp]`, `[comp]`, or a bare
     rational meaning a multiple of the empty composition. `0` is the zero
     element."""
-    text = s.strip()
-    if text == "0":
-        return QSymmElement()
-    pos = _skip_ws(s, 0)
-    acc: dict[Composition, Scalar] = {}
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos = _skip_ws(s, pos + 1)
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
-        coeff: Scalar = 1
-        if pos < len(s) and s[pos].isdigit():
-            coeff, pos = _parse_rational(s, pos)
-            pos = _skip_ws(s, pos)
-            if pos < len(s) and s[pos] == "*":
-                pos = _skip_ws(s, pos + 1)
-                comp, pos = _parse_composition_at(s, pos)
-            else:
-                comp = ()
-        elif pos < len(s) and s[pos] == "[":
-            comp, pos = _parse_composition_at(s, pos)
-        else:
-            raise ParseError("expected a coefficient or '['", pos)
-        acc[comp] = acc.get(comp, 0) + sign * coeff
-        pos = _skip_ws(s, pos)
-    if first:
-        raise ParseError("empty element literal", 0)
-    return QSymmElement(acc)
-
-
-def _parse_rational(s: str, pos: int) -> tuple[Scalar, int]:
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected an integer", pos)
-    num = int(s[start:pos])
-    if pos < len(s) and s[pos] == "/":
-        pos += 1
-        dstart = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == dstart:
-            raise ParseError("expected a denominator", pos)
-        den = int(s[dstart:pos])
-        if den == 0:
-            raise ParseError("zero denominator", dstart)
-        return _norm_scalar(Fraction(num, den)), pos
-    return num, pos
+    return QSymmElement(
+        _parse_terms(s, _scan_rational, _parse_composition_at, (), "element", _parse_bare_composition)
+    )
 
 
 def element_to_json_obj(el: QSymmElement) -> list[dict]:
     """JSON form: wll-descending array of {"composition", "coeff"} objects,
     coefficients as decimal strings with an optional /denominator."""
     return [
-        {"composition": list(comp), "coeff": _format_coeff(q)}
+        {"composition": list(comp), "coeff": str(q)}
         for comp, q in el.terms()
     ]
 
 
 def element_from_json_obj(obj: list[dict]) -> QSymmElement:
-    acc: dict[Composition, Scalar] = {}
-    for entry in obj:
-        comp = composition(entry["composition"])
-        q = Fraction(entry["coeff"])
-        acc[comp] = acc.get(comp, 0) + q
-    return QSymmElement(acc)
+    """Inverse of `element_to_json_obj`; a coefficient must be written
+    exactly as the text form writes one, with an optional leading `-`."""
+    return QSymmElement(
+        (composition(entry["composition"]), _parse_json_coeff(entry["coeff"], _scan_rational))
+        for entry in obj
+    )
 
 
 __all__ = [

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
+from ._sparse import SparseTerms, _format_terms, _iadd_scaled, _parse_json_coeff, _parse_terms, _scan_int
 from .compositions import (
     Composition,
     cfl_factorize,
@@ -93,117 +94,48 @@ def _expand_monomial(m: GeneratorMonomial) -> QSymmElement:
     return acc * elementary_gen(n, alpha)
 
 
-class GeneratorPolynomial:
+def _int_coeff(c: int) -> int:
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ValueError("generator polynomial coefficients must be int")
+    return c
+
+
+class GeneratorPolynomial(SparseTerms):
     """Integer polynomial in the formal generators, canonical form."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _order = staticmethod(_monomial_sort_key)
+    _descending = True
+
+    @staticmethod
+    def _combine(m1: GeneratorMonomial, m2: GeneratorMonomial) -> GeneratorMonomial:
+        return tuple(sorted(m1 + m2, key=_factor_key))
+
+    @staticmethod
+    def _scalar(c: int) -> int:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise TypeError(f"generator polynomials scale only by int, not {type(c).__name__}")
+        return c
 
     def __init__(self, terms: dict[GeneratorMonomial, int] | Iterable[tuple[GeneratorMonomial, int]] = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[GeneratorMonomial, int] = {}
-        for mono, c in items:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError("generator polynomial coefficients must be int")
-            c = acc.get(mono, 0) + c
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        self._terms = {m: acc[m] for m in sorted(acc, key=_monomial_sort_key, reverse=True)}
-
-    @classmethod
-    def zero(cls) -> "GeneratorPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GeneratorPolynomial":
-        return cls({UNIT_MONOMIAL: 1})
+        self._init_terms(terms, check_coeff=_int_coeff)
 
     @classmethod
     def generator(cls, alpha: Iterable[int], n: int) -> "GeneratorPolynomial":
         return cls({make_monomial([(composition(alpha), n)]): 1})
 
-    def terms(self) -> Iterator[tuple[GeneratorMonomial, int]]:
-        return iter(self._terms.items())
-
     def coefficient(self, m: GeneratorMonomial) -> int:
         return self._terms.get(m, 0)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "GeneratorPolynomial") -> "GeneratorPolynomial":
-        if not isinstance(other, GeneratorPolynomial):
-            return NotImplemented
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = acc.get(mono, 0) + c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-        return GeneratorPolynomial(acc)
-
-    def __neg__(self) -> "GeneratorPolynomial":
-        return GeneratorPolynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "GeneratorPolynomial") -> "GeneratorPolynomial":
-        if not isinstance(other, GeneratorPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GeneratorPolynomial):
-            acc: dict[GeneratorMonomial, int] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = tuple(sorted(m1 + m2, key=_factor_key))
-                    s = acc.get(key, 0) + c1 * c2
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-            return GeneratorPolynomial(acc)
-        if isinstance(other, int) and not isinstance(other, bool):
-            if not other:
-                return GeneratorPolynomial()
-            return GeneratorPolynomial({m: c * other for m, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other: int) -> "GeneratorPolynomial":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "GeneratorPolynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = GeneratorPolynomial.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneratorPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"GeneratorPolynomial({format_generator_polynomial(self)!r})"
 
     def __str__(self) -> str:
         return format_generator_polynomial(self)
 
     def expand(self) -> QSymmElement:
         """Multiply the generators out in the quasi-shuffle algebra."""
-        acc = QSymmElement()
+        acc: dict[Composition, int] = {}
         for mono, c in self._terms.items():
-            acc = acc + _expand_monomial(mono) * c
-        return acc
+            _iadd_scaled(acc, _expand_monomial(mono)._terms, c)
+        return QSymmElement._from_dict(acc)
 
 
 def expand(g: GeneratorPolynomial) -> QSymmElement:
@@ -219,9 +151,8 @@ def _symm_to_generators(f: SymmPoly, alpha: Composition) -> GeneratorPolynomial:
     for part, q in f.terms():
         if q.denominator != 1:
             raise ValueError(f"non-integer coefficient {q} cannot enter a generator polynomial")
-        mono = make_monomial([(alpha, j) for j in part])
-        terms[mono] = terms.get(mono, 0) + int(q)
-    return GeneratorPolynomial(terms)
+        terms[make_monomial([(alpha, j) for j in part])] = q
+    return GeneratorPolynomial._from_dict(terms)
 
 
 _express_memo: dict[Composition, GeneratorPolynomial] = {}
@@ -279,11 +210,10 @@ def express_element(a: QSymmElement) -> GeneratorPolynomial:
     """Linear extension of `express` to integral elements."""
     if not a.is_integral():
         raise ValueError("express_element needs an integral element")
-    acc = GeneratorPolynomial()
+    acc: dict[GeneratorMonomial, int] = {}
     for comp, q in a.terms():
-        part = GeneratorPolynomial.one() if not comp else express(comp)
-        acc = acc + part * int(q)
-    return acc
+        _iadd_scaled(acc, express(comp)._terms if comp else {UNIT_MONOMIAL: 1}, q)
+    return GeneratorPolynomial._from_dict(acc)
 
 
 def enumerate_generator_monomials(w: int) -> list[GeneratorMonomial]:
@@ -589,67 +519,26 @@ def format_monomial(m: GeneratorMonomial) -> str:
 
 def format_generator_polynomial(g: GeneratorPolynomial) -> str:
     """Render like `e1([1])*e2([1]) - e1([1,2]) - 3*e3([1])`; zero is `0`."""
-    if not g:
-        return "0"
-    chunks: list[tuple[str, str]] = []
-    for mono, c in g.terms():
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        body = format_monomial(mono)
-        if mag != 1:
-            body = f"{mag}*{body}" if mono else str(mag)
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _format_terms((c, format_monomial(mono) if mono else "") for mono, c in g.terms())
 
 
 def parse_generator_polynomial(s: str) -> GeneratorPolynomial:
     """Parse the text form produced by `format_generator_polynomial`."""
-    text = s.strip()
-    if text == "0":
-        return GeneratorPolynomial()
-    pos = _skip_ws(s, 0)
-    acc: dict[GeneratorMonomial, int] = {}
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos = _skip_ws(s, pos + 1)
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
-        coeff = 1
-        if pos < len(s) and s[pos].isdigit():
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            coeff = int(s[start:pos])
-            pos = _skip_ws(s, pos)
-            if pos < len(s) and s[pos] == "*":
-                pos = _skip_ws(s, pos + 1)
-            else:
-                acc[UNIT_MONOMIAL] = acc.get(UNIT_MONOMIAL, 0) + sign * coeff
-                pos = _skip_ws(s, pos)
-                continue
-        factors: list[Factor] = []
-        while True:
-            factor, power, pos = _parse_factor(s, pos)
-            factors.extend([factor] * power)
-            pos = _skip_ws(s, pos)
-            if pos < len(s) and s[pos] == "*":
-                pos = _skip_ws(s, pos + 1)
-                continue
-            break
-        mono = make_monomial(factors)
-        acc[mono] = acc.get(mono, 0) + sign * coeff
+    return GeneratorPolynomial(
+        _parse_terms(s, _scan_int, _parse_monomial, UNIT_MONOMIAL, "generator polynomial")
+    )
+
+
+def _parse_monomial(s: str, pos: int) -> tuple[GeneratorMonomial, int]:
+    factors: list[Factor] = []
+    while True:
+        factor, power, pos = _parse_factor(s, pos)
+        factors.extend([factor] * power)
         pos = _skip_ws(s, pos)
-    if first:
-        raise ParseError("empty generator polynomial literal", 0)
-    return GeneratorPolynomial(acc)
+        if pos < len(s) and s[pos] == "*":
+            pos = _skip_ws(s, pos + 1)
+            continue
+        return make_monomial(factors), pos
 
 
 def _parse_factor(s: str, pos: int) -> tuple[Factor, int, int]:
@@ -701,13 +590,15 @@ def generator_polynomial_to_json_obj(g: GeneratorPolynomial) -> list[dict]:
 
 
 def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:
+    """Inverse of `generator_polynomial_to_json_obj`; a coefficient must be a
+    decimal integer string with an optional leading `-`."""
     acc: dict[GeneratorMonomial, int] = {}
     for entry in obj:
         factors: list[Factor] = []
         for f in entry["factors"]:
             factors.extend([(composition(f["alpha"]), f["n"])] * f.get("power", 1))
         mono = make_monomial(factors)
-        acc[mono] = acc.get(mono, 0) + int(entry["coeff"])
+        acc[mono] = acc.get(mono, 0) + _parse_json_coeff(entry["coeff"], _scan_int)
     return GeneratorPolynomial(acc)
 
 

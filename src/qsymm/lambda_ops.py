@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .compositions import Composition, composition
-from .elements import QSymmElement, Scalar, _norm_scalar
+from ._sparse import Scalar, _iadd_scaled
+from .elements import QSymmElement
 from .errors import IntegralityError
 
 _DEFAULT_MEMO_CAP = 4096
@@ -50,9 +51,9 @@ def clear_memo() -> None:
 
 def frobenius(n: int, a: QSymmElement) -> QSymmElement:
     """Adams operator: multiply every part of every composition by n."""
-    if n < 1:
-        raise ValueError("frobenius index must be >= 1")
-    return QSymmElement({tuple(n * p for p in comp): q for comp, q in a.terms()})
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("frobenius index must be an integer >= 1")
+    return QSymmElement._from_dict({tuple(n * p for p in comp): q for comp, q in a.terms()})
 
 
 @dataclass(frozen=True)
@@ -72,19 +73,18 @@ class LambdaSeries:
         return self.coefficients[n]
 
 
-def _divide_exact(el: QSymmElement, n: int, must_be_integral: bool) -> QSymmElement:
-    terms: dict[Composition, Scalar] = {}
-    for comp, q in el.terms():
-        if must_be_integral:
-            if not isinstance(q, int) or q % n != 0:
-                raise IntegralityError(
-                    f"division by {n} is inexact on coefficient {q} of "
-                    f"{comp}; lambda operations must stay integral"
-                )
-            terms[comp] = q // n
-        else:
-            terms[comp] = _norm_scalar(Fraction(q, n))
-    return QSymmElement(terms)
+def _divide_exact(terms: dict[Composition, Scalar], n: int, must_be_integral: bool) -> QSymmElement:
+    if not must_be_integral:
+        return QSymmElement._from_dict({comp: Fraction(q, n) for comp, q in terms.items()})
+    out: dict[Composition, int] = {}
+    for comp, q in terms.items():
+        if not isinstance(q, int) or q % n != 0:
+            raise IntegralityError(
+                f"division by {n} is inexact on coefficient {q} of "
+                f"{comp}; lambda operations must stay integral"
+            )
+        out[comp] = q // n
+    return QSymmElement._from_dict(out)
 
 
 def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
@@ -98,10 +98,10 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
     integral = a.is_integral()
     while len(coeffs) <= order:
         n = len(coeffs)
-        acc = QSymmElement()
+        acc: dict[Composition, Scalar] = {}
         for i in range(1, n + 1):
             term = coeffs[n - i] * frobenius(i, a)
-            acc = acc + term if i % 2 == 1 else acc - term
+            _iadd_scaled(acc, term._terms, 1 if i % 2 == 1 else -1)
         coeffs.append(_divide_exact(acc, n, integral))
     if cached is None or len(coeffs) > len(cached):
         cap = _memo_cap()
@@ -132,11 +132,12 @@ def adams_from_lambda(n: int, series: LambdaSeries) -> QSymmElement:
     lam = series.coefficients
     adams: list[QSymmElement] = [QSymmElement()]  # placeholder at index 0
     for m in range(1, n + 1):
-        acc = m * lam[m]
+        sign = 1 if m % 2 == 1 else -1
+        acc = _iadd_scaled({}, lam[m]._terms, sign * m)
         for i in range(1, m):
             term = lam[m - i] * adams[i]
-            acc = acc - term if i % 2 == 1 else acc + term
-        adams.append(acc if m % 2 == 1 else -acc)
+            _iadd_scaled(acc, term._terms, -sign if i % 2 == 1 else sign)
+        adams.append(QSymmElement._from_dict(acc))
     return adams[n]
 
 
@@ -165,7 +166,7 @@ def power_gen(n: int, alpha: Iterable[int]) -> QSymmElement:
 
 
 def _series_mul(a: list[QSymmElement], b: list[QSymmElement], order: int) -> list[QSymmElement]:
-    out = [QSymmElement() for _ in range(order + 1)]
+    out: list[dict[Composition, Scalar]] = [{} for _ in range(order + 1)]
     for i, ai in enumerate(a):
         if i > order or not ai:
             continue
@@ -173,8 +174,8 @@ def _series_mul(a: list[QSymmElement], b: list[QSymmElement], order: int) -> lis
             if i + j > order:
                 break
             if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+                _iadd_scaled(out[i + j], (ai * bj)._terms)
+    return [QSymmElement._from_dict(t) for t in out]
 
 
 def _series_exp(s: list[QSymmElement], order: int) -> list[QSymmElement]:

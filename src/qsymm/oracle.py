@@ -11,134 +11,66 @@ agreement in the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Iterable, Mapping
 
+from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
 from .compositions import composition, enumerate_compositions, format_composition
-from .elements import QSymmElement, Scalar, _norm_scalar, quasi_shuffle
+from .elements import QSymmElement, quasi_shuffle
 from .lambda_ops import frobenius, lambda_n
 
 ExponentVector = tuple[int, ...]
 
 
-class TruncatedPolynomial:
+def _variable_count(k: int) -> int:
+    if k < 0:
+        raise ValueError("variable count must be >= 0")
+    return k
+
+
+class TruncatedPolynomial(SparseTerms):
     """Exact polynomial in a fixed number of variables, sparse over exponent
     vectors."""
 
-    __slots__ = ("k", "_terms")
+    __slots__ = ("_tag",)
+    _TAG_MISMATCH = "mismatched variable counts {} and {}"
+
+    @staticmethod
+    def _combine(e1: ExponentVector, e2: ExponentVector) -> ExponentVector:
+        return tuple(map(add, e1, e2))
 
     def __init__(
         self,
         k: int,
         terms: Mapping[ExponentVector, Scalar] | Iterable[tuple[ExponentVector, Scalar]] = (),
     ):
-        if k < 0:
-            raise ValueError("variable count must be >= 0")
-        self.k = k
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[ExponentVector, Scalar] = {}
-        for exps, q in items:
-            exps = tuple(exps)
-            if len(exps) != k or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {k} variables")
-            q = acc.get(exps, 0) + _norm_scalar(q)
-            if q:
-                acc[exps] = q
-            else:
-                acc.pop(exps, None)
-        self._terms = {e: _norm_scalar(acc[e]) for e in sorted(acc)}
+        self._tag = _variable_count(k)
+        self._init_terms(terms, self._exponent_vector)
 
-    @classmethod
-    def zero(cls, k: int) -> "TruncatedPolynomial":
-        return cls(k)
+    def _exponent_vector(self, exps: Iterable[int]) -> ExponentVector:
+        exps = tuple(exps)
+        if len(exps) != self.k or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r} for {self.k} variables")
+        return exps
 
-    @classmethod
-    def one(cls, k: int) -> "TruncatedPolynomial":
-        return cls(k, {(0,) * k: 1})
+    @property
+    def k(self) -> int:
+        return self._tag
 
-    def terms(self):
-        return iter(self._terms.items())
+    def _unit(self) -> "TruncatedPolynomial":
+        return self._from_dict({(0,) * self.k: 1}, self.k)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def _check_vars(self, other: "TruncatedPolynomial") -> None:
-        if self.k != other.k:
-            raise ValueError(f"mismatched variable counts {self.k} and {other.k}")
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        self._check_vars(other)
-        acc = dict(self._terms)
-        for exps, q in other._terms.items():
-            s = acc.get(exps, 0) + q
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
-        return TruncatedPolynomial(self.k, acc)
-
-    def __neg__(self) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self.k, {e: -q for e, q in self._terms.items()})
-
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["TruncatedPolynomial", Scalar]) -> "TruncatedPolynomial":
-        if isinstance(other, TruncatedPolynomial):
-            self._check_vars(other)
-            acc: dict[ExponentVector, Scalar] = {}
-            for e1, q1 in self._terms.items():
-                for e2, q2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    s = acc.get(key, 0) + q1 * q2
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-            return TruncatedPolynomial(self.k, acc)
-        q = _norm_scalar(other)
-        if not q:
-            return TruncatedPolynomial(self.k)
-        return TruncatedPolynomial(self.k, {e: v * q for e, v in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "TruncatedPolynomial":
-        return self.__mul__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return self.k == other.k and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.k, tuple(self._terms.items())))
+    # its own entry (not only the inherited one) so that products of
+    # truncated polynomials can be wrapped apart from the other classes
+    __mul__ = SparseTerms.__mul__
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, q in self._terms.items():
-            vars_part = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
-            )
-            if not vars_part:
-                pieces.append(str(q))
-            elif q == 1:
-                pieces.append(vars_part)
-            elif q == -1:
-                pieces.append(f"-{vars_part}")
-            else:
-                pieces.append(f"{q}*{vars_part}")
-        return " + ".join(pieces).replace("+ -", "- ")
+        return _format_terms(
+            (q, "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e))
+            for exps, q in self._terms.items()
+        )
 
     def __repr__(self) -> str:
         return f"TruncatedPolynomial({self.k}, {str(self)!r})"
@@ -159,18 +91,18 @@ def expand_composition(alpha: Iterable[int], k: int) -> TruncatedPolynomial:
         for pos, part in zip(idxs, alpha):
             exps[pos] = part
         terms[tuple(exps)] = 1
-    return TruncatedPolynomial(k, terms)
+    return TruncatedPolynomial._from_dict(terms, k)
 
 
 def expand_element(a: QSymmElement, k: int) -> TruncatedPolynomial:
     """Image of an element in k variables. Compositions longer than k need
     more distinct indices than are available, so they vanish; that makes
     this the honest ring map, at the price of faithfulness below weight k."""
-    acc = TruncatedPolynomial.zero(k)
+    acc: dict[ExponentVector, Scalar] = {}
     for comp, q in a.terms():
         if len(comp) <= k:
-            acc = acc + expand_composition(comp, k) * q
-    return acc
+            _iadd_scaled(acc, expand_composition(comp, k)._terms, q)
+    return TruncatedPolynomial._from_dict(acc, _variable_count(k))
 
 
 def poly_mul(p: TruncatedPolynomial, q: TruncatedPolynomial) -> TruncatedPolynomial:
@@ -181,7 +113,7 @@ def frobenius_poly(n: int, p: TruncatedPolynomial) -> TruncatedPolynomial:
     """Substitute x_j -> x_j**n, i.e. scale every exponent vector by n."""
     if n < 1:
         raise ValueError("frobenius index must be >= 1")
-    return TruncatedPolynomial(p.k, {tuple(n * e for e in exps): q for exps, q in p.terms()})
+    return TruncatedPolynomial._from_dict({tuple(n * e for e in exps): q for exps, q in p.terms()}, p.k)
 
 
 def elementary_of_monomials(n: int, alpha: Iterable[int], k: int) -> TruncatedPolynomial:
@@ -190,13 +122,12 @@ def elementary_of_monomials(n: int, alpha: Iterable[int], k: int) -> TruncatedPo
     lambda power computed entirely on the polynomial side."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    monomials = list(expand_composition(alpha, k).terms())
-    elem = [TruncatedPolynomial.one(k)] + [TruncatedPolynomial.zero(k)] * n
-    for exps, _ in monomials:
-        mono = TruncatedPolynomial(k, {exps: 1})
+    monomials = expand_composition(alpha, k)._terms
+    elem: list[dict[ExponentVector, Scalar]] = [{(0,) * k: 1}] + [{} for _ in range(n)]
+    for mono in monomials:
         for j in range(n, 0, -1):
-            elem[j] = elem[j] + elem[j - 1] * mono
-    return elem[n]
+            _iadd_scaled(elem[j], {tuple(map(add, exps, mono)): q for exps, q in elem[j - 1].items()})
+    return TruncatedPolynomial._from_dict(elem[n], k)
 
 
 # -- differential test driver -------------------------------------------------
@@ -211,13 +142,7 @@ class OracleCheck:
     rhs: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "instance": self.instance,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

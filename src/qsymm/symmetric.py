@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping
 
-from .compositions import composition
-from .elements import QSymmElement, Scalar, _norm_scalar
+from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
+from .compositions import Composition, composition
+from .elements import QSymmElement
 from .errors import IntegralityError
 from .lambda_ops import frobenius, lambda_n, lambda_series
 
@@ -39,10 +40,16 @@ def _partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-class SymmPoly:
+class SymmPoly(SparseTerms):
     """Sparse symmetric function tagged with its basis ('e' or 'p')."""
 
-    __slots__ = ("basis", "_terms")
+    __slots__ = ("_tag",)
+    _order = staticmethod(lambda p: (sum(p), -len(p), p))
+    _TAG_MISMATCH = "mixed bases: {!r} and {!r}"
+
+    @staticmethod
+    def _combine(p1: Partition, p2: Partition) -> Partition:
+        return tuple(sorted(p1 + p2, reverse=True))
 
     def __init__(
         self,
@@ -51,20 +58,12 @@ class SymmPoly:
     ):
         if basis not in (E_BASIS, P_BASIS):
             raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Partition, Scalar] = {}
-        for part, q in items:
-            part = _partition(part)
-            q = acc.get(part, 0) + _norm_scalar(q)
-            if q:
-                acc[part] = q
-            else:
-                acc.pop(part, None)
-        self._terms = {
-            p: _norm_scalar(acc[p])
-            for p in sorted(acc, key=lambda p: (sum(p), -len(p), p))
-        }
+        self._tag = basis
+        self._init_terms(terms, _partition)
+
+    @property
+    def basis(self) -> str:
+        return self._tag
 
     @classmethod
     def e(cls, n: int) -> "SymmPoly":
@@ -80,91 +79,6 @@ class SymmPoly:
             raise ValueError("index must be >= 0")
         return cls(P_BASIS, {(n,) if n else (): 1})
 
-    @classmethod
-    def one(cls, basis: str) -> "SymmPoly":
-        return cls(basis, {(): 1})
-
-    @classmethod
-    def zero(cls, basis: str) -> "SymmPoly":
-        return cls(basis)
-
-    def terms(self) -> Iterator[tuple[Partition, Scalar]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_integral(self) -> bool:
-        return all(q.denominator == 1 for q in self._terms.values())
-
-    def _check_basis(self, other: "SymmPoly") -> None:
-        if self.basis != other.basis:
-            raise ValueError(f"mixed bases: {self.basis!r} and {other.basis!r}")
-
-    def __add__(self, other: "SymmPoly") -> "SymmPoly":
-        if not isinstance(other, SymmPoly):
-            return NotImplemented
-        self._check_basis(other)
-        acc = dict(self._terms)
-        for part, q in other._terms.items():
-            s = acc.get(part, 0) + q
-            if s:
-                acc[part] = s
-            else:
-                acc.pop(part, None)
-        return SymmPoly(self.basis, acc)
-
-    def __neg__(self) -> "SymmPoly":
-        return SymmPoly(self.basis, {p: -q for p, q in self._terms.items()})
-
-    def __sub__(self, other: "SymmPoly") -> "SymmPoly":
-        if not isinstance(other, SymmPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["SymmPoly", Scalar]) -> "SymmPoly":
-        if isinstance(other, SymmPoly):
-            self._check_basis(other)
-            acc: dict[Partition, Scalar] = {}
-            for p1, q1 in self._terms.items():
-                for p2, q2 in other._terms.items():
-                    key = _partition(p1 + p2)
-                    s = acc.get(key, 0) + q1 * q2
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-            return SymmPoly(self.basis, acc)
-        q = _norm_scalar(other)
-        if not q:
-            return SymmPoly(self.basis)
-        return SymmPoly(self.basis, {p: v * q for p, v in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "SymmPoly":
-        return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "SymmPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SymmPoly.one(self.basis)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymmPoly):
-            return NotImplemented
-        return self.basis == other.basis and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.basis, tuple(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"SymmPoly({format_symm(self)!r})"
-
     def __str__(self) -> str:
         return format_symm(self)
 
@@ -174,11 +88,11 @@ def _e_in_p(n: int) -> SymmPoly:
     """e_n expressed in the p basis (rational coefficients)."""
     if n == 0:
         return SymmPoly.one(P_BASIS)
-    acc = SymmPoly.zero(P_BASIS)
+    acc: dict[Partition, Scalar] = {}
     for i in range(1, n + 1):
         term = _e_in_p(n - i) * SymmPoly.p(i)
-        acc = acc + term if i % 2 == 1 else acc - term
-    return acc * Fraction(1, n)
+        _iadd_scaled(acc, term._terms, Fraction(1 if i % 2 == 1 else -1, n))
+    return SymmPoly._from_dict(acc, P_BASIS)
 
 
 @lru_cache(maxsize=None)
@@ -186,37 +100,38 @@ def _p_in_e(n: int) -> SymmPoly:
     """p_n expressed in the e basis (integer coefficients)."""
     if n == 0:
         return SymmPoly.one(E_BASIS)
-    acc = n * SymmPoly.e(n)
+    sign = 1 if n % 2 == 1 else -1
+    acc: dict[Partition, Scalar] = {(n,): sign * n}
     for i in range(1, n):
         term = SymmPoly.e(n - i) * _p_in_e(i)
-        acc = acc - term if i % 2 == 1 else acc + term
-    return acc if n % 2 == 1 else -acc
+        _iadd_scaled(acc, term._terms, -sign if i % 2 == 1 else sign)
+    return SymmPoly._from_dict(acc, E_BASIS)
 
 
 def e_to_p(f: SymmPoly) -> SymmPoly:
     """Rewrite an e-basis polynomial in the p basis."""
     if f.basis != E_BASIS:
         raise ValueError("e_to_p needs an e-basis polynomial")
-    acc = SymmPoly.zero(P_BASIS)
+    acc: dict[Partition, Scalar] = {}
     for part, q in f.terms():
         prod = SymmPoly.one(P_BASIS)
         for n in part:
             prod = prod * _e_in_p(n)
-        acc = acc + prod * q
-    return acc
+        _iadd_scaled(acc, prod._terms, q)
+    return SymmPoly._from_dict(acc, P_BASIS)
 
 
 def p_to_e(f: SymmPoly) -> SymmPoly:
     """Rewrite a p-basis polynomial in the e basis."""
     if f.basis != P_BASIS:
         raise ValueError("p_to_e needs a p-basis polynomial")
-    acc = SymmPoly.zero(E_BASIS)
+    acc: dict[Partition, Scalar] = {}
     for part, q in f.terms():
         prod = SymmPoly.one(E_BASIS)
         for n in part:
             prod = prod * _p_in_e(n)
-        acc = acc + prod * q
-    return acc
+        _iadd_scaled(acc, prod._terms, q)
+    return SymmPoly._from_dict(acc, E_BASIS)
 
 
 def plethysm_p(f: SymmPoly, m: int) -> SymmPoly:
@@ -249,13 +164,13 @@ def evaluate_at(f: SymmPoly, a: QSymmElement) -> QSymmElement:
         raise ValueError("evaluate_at needs an e-basis polynomial")
     max_index = max((part[0] for part, _ in f.terms() if part), default=0)
     lam = lambda_series(a, max_index)
-    acc = QSymmElement()
+    acc: dict[Composition, Scalar] = {}
     for part, q in f.terms():
         prod = QSymmElement.one()
         for n in part:
             prod = prod * lam.coefficient(n)
-        acc = acc + prod * q
-    return acc
+        _iadd_scaled(acc, prod._terms, q)
+    return QSymmElement._from_dict(acc)
 
 
 def plethysm_compat_check(n: int, m: int, alpha: Iterable[int]) -> bool:
@@ -269,22 +184,11 @@ def plethysm_compat_check(n: int, m: int, alpha: Iterable[int]) -> bool:
 
 def format_symm(f: SymmPoly) -> str:
     """Render like `e2^2 - 2*e1*e3 + 2*e4`; the empty product is `1`."""
-    if not f:
-        return "0"
-    chunks: list[tuple[str, str]] = []
-    for part, q in f.terms():
-        sign = "-" if q < 0 else "+"
-        mag = -q if q < 0 else q
-        factors = []
-        for n in sorted(set(part)):
-            count = part.count(n)
-            factors.append(f"{f.basis}{n}" + (f"^{count}" if count > 1 else ""))
-        body = "*".join(factors) if factors else "1"
-        if mag != 1:
-            body = f"{mag}*{body}" if factors else str(mag)
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _format_terms((q, _format_partition(f.basis, part)) for part, q in f.terms())
+
+
+def _format_partition(basis: str, part: Partition) -> str:
+    return "*".join(
+        f"{basis}{n}" + (f"^{part.count(n)}" if part.count(n) > 1 else "")
+        for n in sorted(set(part))
+    )
