@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from ._sparse import SparseTerms, _format_terms, _iadd_scaled, _parse_json_coeff, _parse_terms, _scan_int
+from ._sparse import (
+    SparseTerms,
+    _format_terms,
+    _iadd_scaled,
+    _parse_json_coeff,
+    _parse_terms,
+    _scan_int,
+)
 from .compositions import (
     Composition,
     cfl_factorize,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .compositions import Composition, composition
 from ._sparse import Scalar, _iadd_scaled
+from .compositions import Composition, composition
 from .elements import QSymmElement
 from .errors import IntegralityError
 
@@ -73,18 +73,19 @@ class LambdaSeries:
         return self.coefficients[n]
 
 
-def _divide_exact(terms: dict[Composition, Scalar], n: int, must_be_integral: bool) -> QSymmElement:
-    if not must_be_integral:
-        return QSymmElement._from_dict({comp: Fraction(q, n) for comp, q in terms.items()})
-    out: dict[Composition, int] = {}
-    for comp, q in terms.items():
-        if not isinstance(q, int) or q % n != 0:
-            raise IntegralityError(
-                f"division by {n} is inexact on coefficient {q} of "
-                f"{comp}; lambda operations must stay integral"
-            )
-        out[comp] = q // n
-    return QSymmElement._from_dict(out)
+def _divide_exact(acc: dict[Composition, Scalar], n: int, must_be_integral: bool) -> QSymmElement:
+    terms: dict[Composition, Scalar] = {}
+    for comp, q in acc.items():
+        if must_be_integral:
+            if not isinstance(q, int) or q % n != 0:
+                raise IntegralityError(
+                    f"division by {n} is inexact on coefficient {q} of "
+                    f"{comp}; lambda operations must stay integral"
+                )
+            terms[comp] = q // n
+        else:
+            terms[comp] = Fraction(q, n)
+    return QSymmElement._from_dict(terms)
 
 
 def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
