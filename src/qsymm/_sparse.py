@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .compositions import _skip_ws
+from .compositions import _is_digit, _scan_int, _skip_ws
 from .errors import ParseError
 
 Scalar = Union[int, Fraction]
@@ -238,28 +238,11 @@ def _format_terms(pairs: Iterable[tuple[Scalar, str]]) -> str:
     return ("-" if out[1] == "-" else "") + out[3:]
 
 
-def _is_digit(s: str, pos: int) -> bool:
-    # ASCII only: `str.isdigit` also admits digits no formatter writes, such
-    # as "\u0663", which `int` reads as 3, and "\u00b2", which it rejects.
-    return pos < len(s) and "0" <= s[pos] <= "9"
-
-
-def _scan_int(s: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while _is_digit(s, pos):
-        pos += 1
-    if pos == start:
-        raise ParseError("expected an integer", pos)
-    return int(s[start:pos]), pos
-
-
 def _scan_rational(s: str, pos: int) -> tuple[Scalar, int]:
     num, pos = _scan_int(s, pos)
     if pos < len(s) and s[pos] == "/":
         pos += 1
-        if not _is_digit(s, pos):
-            raise ParseError("expected a denominator", pos)
-        den, end = _scan_int(s, pos)
+        den, end = _scan_int(s, pos, "a denominator")
         if den == 0:
             raise ParseError("zero denominator", pos)
         return _norm_scalar(Fraction(num, den)), end

@@ -313,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for quasisymmetric functions: quasi-shuffle "
         "products, lambda operations, Lyndon generator bases and freeness "
         "certificates.",
-        epilog="QSYMM_MAX_MEMO caps the number of memoized lambda series "
-        "(default 4096).",
+        epilog="QSYMM_MAX_MEMO caps the number of memoized lambda series: "
+        "empty means 4096, ASCII decimal digits give the cap, 0 disables "
+        "the table, and any other value is an error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

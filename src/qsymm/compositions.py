@@ -219,6 +219,23 @@ def _skip_ws(s: str, pos: int) -> int:
     return pos
 
 
+def _is_digit(s: str, pos: int) -> bool:
+    # ASCII only: `str.isdigit` also admits digits no formatter writes, such
+    # as "\u0663", which `int` reads as 3, and "\u00b2", which it rejects.
+    return pos < len(s) and "0" <= s[pos] <= "9"
+
+
+def _scan_int(s: str, pos: int, what: str = "an integer") -> tuple[int, int]:
+    """Read the digits at `pos`; returns (value, end). With no digit there,
+    raises ParseError "expected <what>"."""
+    end = pos
+    while end < len(s) and "0" <= s[end] <= "9":  # `_is_digit`, inlined
+        end += 1
+    if end == pos:
+        raise ParseError(f"expected {what}", pos)
+    return int(s[pos:end]), end
+
+
 def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
     """Parse one composition literal starting at `pos`; returns (value, end)."""
     pos = _skip_ws(s, pos)
@@ -230,11 +247,7 @@ def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
         return (), pos + 1
     while True:
         start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a positive integer part", pos)
-        part = int(s[start:pos])
+        part, pos = _scan_int(s, pos, "a positive integer part")
         if part < 1:
             raise ParseError("parts must be >= 1", start)
         parts.append(part)

@@ -150,9 +150,13 @@ def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]
 
 
 # Large products are cached whole; entries can be megabytes, so the cap is
-# small and eviction is FIFO. Deterministic results make races benign.
+# small and the least recently used pair goes first.
 _PRODUCT_CACHE_CAP = 512
-_product_cache: dict[tuple, "QSymmElement"] = {}
+
+
+@lru_cache(maxsize=_PRODUCT_CACHE_CAP)
+def _trie_product(a: "QSymmElement", b: "QSymmElement") -> "QSymmElement":
+    return QSymmElement._from_dict(_mul_trie(a, b))
 
 
 class QSymmElement(SparseTerms):
@@ -207,14 +211,9 @@ class QSymmElement(SparseTerms):
         # and the whole product is worth caching.
         if len(self._terms) * len(other._terms) <= 64:
             return QSymmElement._from_dict(_mul_pairwise(self, other))
-        key = (self, other) if hash(self) <= hash(other) else (other, self)
-        cached = _product_cache.get(key)
-        if cached is None:
-            cached = QSymmElement._from_dict(_mul_trie(self, other))
-            while len(_product_cache) >= _PRODUCT_CACHE_CAP:
-                _product_cache.pop(next(iter(_product_cache)))
-            _product_cache[key] = cached
-        return cached
+        if hash(self) <= hash(other):  # commutative: one entry per pair
+            return _trie_product(self, other)
+        return _trie_product(other, self)
 
     def __str__(self) -> str:
         return format_element(self)

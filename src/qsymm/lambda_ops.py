@@ -15,8 +15,9 @@ Every division by n in the recursion is exact on integral elements; an
 inexact one raises IntegralityError because it can only mean a bug.
 
 Computed lambda series are memoized per element. The environment variable
-QSYMM_MAX_MEMO caps the number of cached elements (default 4096, FIFO
-eviction); results are deterministic, so cache races are benign.
+QSYMM_MAX_MEMO caps the number of cached elements: empty means 4096, and
+ASCII decimal digits give the cap, 0 disabling the table. A full table is
+cleared before the next element goes in.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ _series_memo: dict[QSymmElement, list[QSymmElement]] = {}
 
 def _memo_cap() -> int:
     raw = os.environ.get("QSYMM_MAX_MEMO", "")
-    try:
-        cap = int(raw)
-    except ValueError:
+    if not raw:
         return _DEFAULT_MEMO_CAP
-    return max(cap, 0) if raw else _DEFAULT_MEMO_CAP
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"QSYMM_MAX_MEMO must be empty or ASCII decimal digits, got {raw!r}")
+    return int(raw)
 
 
 def clear_memo() -> None:
@@ -107,8 +108,8 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
     if cached is None or len(coeffs) > len(cached):
         cap = _memo_cap()
         if cap:
-            while len(_series_memo) >= cap and a not in _series_memo:
-                _series_memo.pop(next(iter(_series_memo)))
+            if len(_series_memo) >= cap and a not in _series_memo:
+                _series_memo.clear()
             _series_memo[a] = coeffs
     return LambdaSeries(a, tuple(coeffs[: order + 1]))
 

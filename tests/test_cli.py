@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qsymm.cli import run, verify_all
+from qsymm.lambda_ops import clear_memo
 
 
 def invoke(capsys, *argv):
@@ -37,12 +38,24 @@ class TestProduct:
         assert code == 2
         assert "position" in err
 
+    def test_non_ascii_digit_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "product", "[\u0661,2]", "[]")
+        assert code == 2
+        assert "position" in err
+
 
 class TestUnaryCommands:
     def test_lambda(self, capsys):
         code, out, _ = invoke(capsys, "lambda", "-n", "2", "[1]")
         assert code == 0
         assert out.strip() == "[1,1]"
+
+    def test_lambda_bad_memo_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSYMM_MAX_MEMO", "abc")
+        clear_memo()
+        code, _, err = invoke(capsys, "lambda", "-n", "2", "[1]")
+        assert code == 2
+        assert err.startswith("error: QSYMM_MAX_MEMO ")
 
     def test_frobenius(self, capsys):
         code, out, _ = invoke(capsys, "frobenius", "-n", "2", "[1,2]")

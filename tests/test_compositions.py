@@ -208,7 +208,7 @@ class TestTextFormat:
             assert parse_composition(format_composition(c)) == c
 
     @pytest.mark.parametrize(
-        "bad", ["", "[", "[1", "[1,]", "[a]", "1,2]", "[1,2] extra", "[0]", "[-1]"]
+        "bad", ["", "[", "[1", "[1,]", "[a]", "1,2]", "[1,2] extra", "[0]", "[-1]", "[\u0661,2]", "[\u00b2]"]
     )
     def test_parse_errors_carry_position(self, bad):
         with pytest.raises(ParseError) as info:

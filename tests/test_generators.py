@@ -11,6 +11,7 @@ from qsymm.compositions import (
     weight,
 )
 from qsymm.elements import QSymmElement
+from qsymm.errors import ParseError
 from qsymm.generators import (
     GeneratorPolynomial,
     _det_unit_pivot,
@@ -386,6 +387,11 @@ class TestTextAndJson:
         g = parse_generator_polynomial("e1([1])*e2([1]) - e1([1,2]) - 3*e3([1])")
         assert g == express((2, 1))
         assert parse_generator_polynomial("2") == GeneratorPolynomial.one() * 2
+
+    @pytest.mark.parametrize("bad", ["e\u0661([1])", "e1([1])^\u00b2"])
+    def test_parse_rejects_non_ascii_digits(self, bad):
+        with pytest.raises(ParseError):
+            parse_generator_polynomial(bad)
 
     def test_json_round_trip(self):
         for beta in nonempty_up_to(5):

@@ -179,6 +179,22 @@ class TestSeries:
         finally:
             clear_memo()
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", " 8", "1_0", "\u0663"])
+    def test_memo_cap_rejects_malformed_values(self, monkeypatch, raw):
+        monkeypatch.setenv("QSYMM_MAX_MEMO", raw)
+        clear_memo()
+        with pytest.raises(ValueError, match="QSYMM_MAX_MEMO") as info:
+            lambda_n(2, mono((1, 2)))
+        assert repr(raw) in str(info.value)
+
+    def test_memo_cap_zero_disables_the_table(self, monkeypatch):
+        import qsymm.lambda_ops as lo
+
+        monkeypatch.setenv("QSYMM_MAX_MEMO", "0")
+        clear_memo()
+        assert lambda_n(2, mono((1,))) == mono((1, 1))
+        assert lo._series_memo == {}
+
 
 class TestGenerators:
     def test_power_gen(self):

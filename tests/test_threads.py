@@ -1,0 +1,91 @@
+"""The package's memo tables under concurrent use.
+
+The product cache and the lambda-series table are shared by every thread of
+the process. Threads that fill and evict them at the same time must get the
+answers one thread gets, and no thread may raise.
+"""
+
+import random
+import sys
+import threading
+
+from qsymm import QSymmElement, lambda_n
+from qsymm.compositions import enumerate_compositions
+from qsymm.elements import _mul_pairwise
+from qsymm.lambda_ops import clear_memo
+
+THREADS = 8
+SHORT = [c for w in (1, 2, 3) for c in enumerate_compositions(w)]
+
+
+def _run_threads(work):
+    """Run `work(i)` for i in range(THREADS), one thread each, switching
+    threads as often as the interpreter allows. Returns the results and the
+    exceptions the threads raised."""
+    results = [None] * THREADS
+    errors = []
+
+    def target(i):
+        try:
+            results[i] = work(i)
+        except Exception as exc:  # any raise fails the test below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(THREADS)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    return results, errors
+
+
+def _random_elements(rng, count, comps):
+    return [QSymmElement({c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in comps(rng)}) for _ in range(count)]
+
+
+def test_products_overflowing_the_cache():
+    rng = random.Random(20)
+    # 40 elements of 9 terms give 820 unordered pairs, more than the product
+    # cache keeps, and 9 * 9 terms take the cached trie route. The expected
+    # products come from the per-pair route, which bypasses that cache.
+    els = _random_elements(rng, 40, lambda r: SHORT + r.sample(enumerate_compositions(4), 2))
+    pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
+    expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
+
+    def work(k):
+        mine = pairs[k::THREADS]
+        random.Random(k).shuffle(mine)
+        return [(i, j) for i, j in mine if els[j] * els[i] != expected[i, j]]
+
+    results, errors = _run_threads(work)
+    assert errors == []
+    assert results == [[]] * THREADS
+
+
+def test_lambda_series_with_a_full_table(monkeypatch):
+    rng = random.Random(21)
+    operands = [QSymmElement.monomial(c) for c in SHORT]
+    operands += _random_elements(rng, 6, lambda r: r.sample(SHORT, 2))
+    requests = [(n, a) for n in (1, 2, 3) for a in operands]
+    clear_memo()
+    expected = [lambda_n(n, a) for n, a in requests]
+
+    def work(k):
+        order = random.Random(k).sample(range(len(requests)), len(requests))
+        return [r for r in order * 3 if lambda_n(*requests[r]) != expected[r]]
+
+    # a table of two entries is full, and cleared, at almost every store
+    monkeypatch.setenv("QSYMM_MAX_MEMO", "2")
+    clear_memo()
+    try:
+        results, errors = _run_threads(work)
+    finally:
+        clear_memo()
+    assert errors == []
+    assert results == [[]] * THREADS
