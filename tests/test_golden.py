@@ -5,7 +5,8 @@ stdout, stderr, and the text of every file it wrote (named relative to the
 working directory). The corpus covers the README examples, certificates for
 weights 1-6 in both generator families, `verify-all --max-weight 4 --json`
 (which holds the oracle at four variables), text and JSON forms with
-rational and negative coefficients, and malformed literals.
+rational and negative coefficients, products of 9-term elements on both
+sides of the per-pair/trie route choice, and malformed literals.
 """
 
 import json
