@@ -64,7 +64,8 @@ def _shuffle_terms(a: Composition, b: Composition) -> tuple[tuple[Composition, i
 
 # A trie node is [coefficient-at-node, {next part: child}, flat suffix list].
 # Multiplying two elements through their tries shares all common-suffix work,
-# which beats the per-term-pair route once both sides carry many long words.
+# which beats the per-term-pair route once both sides carry many long words
+# (see `QSymmElement.__mul__` for the measured crossover).
 
 
 def _build_trie(terms: Iterable[tuple[Composition, Scalar]]) -> list:
@@ -206,10 +207,19 @@ class QSymmElement(SparseTerms):
     def __mul__(self, other: Union["QSymmElement", Scalar]) -> "QSymmElement":
         if not isinstance(other, QSymmElement):
             return self._scale(other)
-        # Few or short terms: per-pair shuffles, memoized across calls.
-        # Two long operands: the trie route shares common-suffix work,
-        # and the whole product is worth caching.
-        if len(self._terms) * len(other._terms) <= 64:
+        # Per-pair shuffles, memoized across calls, unless there are more
+        # than 64 term pairs and the two longest words have lengths summing
+        # past 8. Then the trie route shares common-suffix work, and the
+        # whole product is worth caching. Cold products, per-pair / trie, by
+        # that sum: <= 8, per-pair ties or wins by up to 8x (737 products of
+        # 9-11 terms of weight <= 4: 0.29 s / 2.46 s); 10, mixed
+        # (lambda_i([1,1]) * lambda_j([1,1]): the trie up to 1.7x faster;
+        # the 7 weight-10 certificate products: per-pair 5x faster); >= 12,
+        # the trie is 2-8x faster (lambda_4([1,1])**2: 16.0 s / 1.99 s).
+        if (
+            len(self._terms) * len(other._terms) <= 64
+            or max(map(len, self._terms)) + max(map(len, other._terms)) <= 8
+        ):
             return QSymmElement._from_dict(_mul_pairwise(self, other))
         if hash(self) <= hash(other):  # commutative: one entry per pair
             return _trie_product(self, other)

@@ -10,6 +10,9 @@ import pytest
 from qsymm.compositions import enumerate_compositions
 from qsymm.elements import (
     QSymmElement,
+    _mul_pairwise,
+    _mul_trie,
+    _trie_product,
     element_from_json_obj,
     element_to_json_obj,
     format_element,
@@ -130,6 +133,43 @@ class TestMultiply:
         one = QSymmElement.monomial((1,))
         assert one ** 0 == QSymmElement.one()
         assert one ** 2 == one * one
+
+
+def route_operand(rng, terms, longest):
+    """A seeded element of `terms` terms whose longest composition has
+    `longest` parts; the others have weight <= 4 and fewer parts."""
+    top = tuple(rng.choice((1, 2)) for _ in range(longest))
+    rest = [c for c in nonempty_up_to(4) if len(c) < longest]
+    comps = [top] + rng.sample(rest, terms - 1)
+    return QSymmElement({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in comps})
+
+
+class TestRouteChoice:
+    """A product takes per-pair shuffles unless it has more than 64 term
+    pairs and the longest words of its two sides have lengths summing past
+    8; only the trie route goes through the product cache."""
+
+    @pytest.mark.parametrize(
+        "terms, longest, trie",
+        [
+            ((9, 9), (4, 4), False),
+            ((9, 9), (5, 4), True),
+            ((9, 9), (5, 5), True),
+            ((9, 9), (6, 6), True),
+            ((8, 8), (5, 5), False),
+            ((5, 13), (5, 5), True),
+        ],
+    )
+    def test_route(self, terms, longest, trie):
+        rng = random.Random(f"{terms} {longest}")
+        a, b = (route_operand(rng, n, m) for n, m in zip(terms, longest))
+        assert (len(a), len(b)) == terms
+        assert tuple(max(map(len, x.compositions())) for x in (a, b)) == longest
+        _trie_product.cache_clear()
+        product = a * b
+        assert product == QSymmElement._from_dict(_mul_pairwise(a, b))
+        assert product == QSymmElement._from_dict(_mul_trie(a, b))
+        assert _trie_product.cache_info().misses == int(trie)
 
 
 class TestLeadingTerm:

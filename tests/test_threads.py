@@ -1,8 +1,8 @@
 """The package's memo tables under concurrent use.
 
-The product cache and the lambda-series table are shared by every thread of
-the process. Threads that fill and evict them at the same time must get the
-answers one thread gets, and no thread may raise.
+The product cache, the quasi-shuffle memo and the lambda-series table are
+shared by every thread of the process. Threads that fill and evict them at
+the same time must get the answers one thread gets, and no thread may raise.
 """
 
 import random
@@ -11,7 +11,7 @@ import threading
 
 from qsymm import QSymmElement, lambda_n
 from qsymm.compositions import enumerate_compositions
-from qsymm.elements import _mul_pairwise
+from qsymm.elements import _PRODUCT_CACHE_CAP, _mul_pairwise, _trie_product
 from qsymm.lambda_ops import clear_memo
 
 THREADS = 8
@@ -51,9 +51,9 @@ def _random_elements(rng, count, comps):
 
 def test_products_overflowing_the_cache():
     rng = random.Random(20)
-    # 40 elements of 9 terms give 820 unordered pairs, more than the product
-    # cache keeps, and 9 * 9 terms take the cached trie route. The expected
-    # products come from the per-pair route, which bypasses that cache.
+    # 40 elements of 9 terms give 820 unordered pairs. Their longest words
+    # have lengths summing to at most 8, so these products take the per-pair
+    # route over the shared quasi-shuffle memo.
     els = _random_elements(rng, 40, lambda r: SHORT + r.sample(enumerate_compositions(4), 2))
     pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
     expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
@@ -66,6 +66,28 @@ def test_products_overflowing_the_cache():
     results, errors = _run_threads(work)
     assert errors == []
     assert results == [[]] * THREADS
+
+
+def test_trie_products_overflowing_the_cache():
+    rng = random.Random(22)
+    # 33 elements of 9 terms give 561 unordered pairs, more than the product
+    # cache keeps. Each holds [1,1,1,1,1], so every pair's longest words sum
+    # to 10 and takes the cached trie route. The expected products come from
+    # the per-pair route, which bypasses that cache.
+    els = _random_elements(rng, 33, lambda r: SHORT + [(1, 1, 1, 1, 1)] + r.sample(enumerate_compositions(4), 1))
+    pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
+    expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
+
+    def work(k):
+        mine = pairs[k::THREADS]
+        random.Random(k).shuffle(mine)
+        return [(i, j) for i, j in mine if els[j] * els[i] != expected[i, j]]
+
+    _trie_product.cache_clear()
+    results, errors = _run_threads(work)
+    assert errors == []
+    assert results == [[]] * THREADS
+    assert _trie_product.cache_info().misses > _PRODUCT_CACHE_CAP
 
 
 def test_lambda_series_with_a_full_table(monkeypatch):
