@@ -1,6 +1,7 @@
 """The polynomial substitution oracle and its differential suites."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from qsymm.elements import QSymmElement, quasi_shuffle
 from qsymm.lambda_ops import frobenius, lambda_n
 from qsymm.oracle import (
     TruncatedPolynomial,
+    _check,
     elementary_of_monomials,
     expand_composition,
     expand_element,
@@ -181,3 +183,38 @@ class TestSuites:
         assert isinstance(obj, list)
         assert set(obj[0]) == {"identity", "instance", "status", "lhs", "rhs"}
         assert all(entry["status"] == "pass" for entry in obj)
+
+    def test_passing_checks_render_lazily(self, monkeypatch):
+        rendered = []
+        to_text = TruncatedPolynomial.__str__
+
+        def counting_str(poly):
+            rendered.append(poly)
+            return to_text(poly)
+
+        monkeypatch.setattr(TruncatedPolynomial, "__str__", counting_str)
+        # building the suite and renaming its checks, as verify-all does,
+        # renders nothing
+        checks = [replace(c, identity=f"oracle/{c.identity}") for c in oracle_suite(2, 2).checks]
+        assert rendered == []
+        c = next(c for c in checks if c.instance == "[1]*[1]")
+        lhs, rhs = c.lhs, c.rhs
+        assert len(rendered) == 1  # both sides of a passing check share one text
+        x1 = expand_composition((1,), 2)
+        assert lhs == rhs == to_text(x1 * x1)
+        assert type(lhs) is str and type(rhs) is str
+        assert c.lhs is lhs and c.rhs is rhs  # cached
+        assert len(rendered) == 1
+        assert c.to_json_obj() == {
+            "identity": "oracle/product",
+            "instance": "[1]*[1]",
+            "status": "pass",
+            "lhs": lhs,
+            "rhs": rhs,
+        }
+        assert list(c.to_json_obj()) == ["identity", "instance", "status", "lhs", "rhs"]
+
+    def test_failing_check_keeps_both_sides(self):
+        c = _check("product", "[1]*[]", mono((1,)), 2, expand_composition((2,), 2))
+        assert c.status == "fail"
+        assert (c.lhs, c.rhs) == (str(expand_composition((1,), 2)), str(expand_composition((2,), 2)))
