@@ -214,3 +214,43 @@ class TestTextFormat:
         with pytest.raises(ParseError) as info:
             parse_composition(bad)
         assert info.value.position >= 0
+
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("", "expected '['", 0),
+            ("[", "expected a positive integer part", 1),
+            ("[1", "expected ',' or ']'", 2),
+            ("[1,]", "expected a positive integer part", 3),
+            ("[a]", "expected a positive integer part", 1),
+            ("1,2]", "expected '['", 0),
+            ("[1,2] extra", "unexpected trailing text 'extra'", 6),
+            ("[0]", "parts must be >= 1", 1),
+            ("[-1]", "expected a positive integer part", 1),
+            ("[\u0661,2]", "expected a positive integer part", 1),
+            ("[\u00b2]", "expected a positive integer part", 1),
+            ("[1 2]", "expected ',' or ']'", 3),
+            ("[1, ,2]", "expected a positive integer part", 4),
+            ("[ 0 ]", "parts must be >= 1", 2),
+            ("[1,2", "expected ',' or ']'", 4),
+            ("\t[1\t2]", "expected ',' or ']'", 4),
+            ("[1,2]\t x", "unexpected trailing text 'x'", 7),
+            ("[ ", "expected a positive integer part", 2),
+            ("[ ,1]", "expected a positive integer part", 2),
+            ("[1,\t", "expected a positive integer part", 4),
+            ("[00]", "parts must be >= 1", 1),
+            ("[1, 0]", "parts must be >= 1", 4),
+        ],
+    )
+    def test_parse_errors_exact(self, bad, message, position):
+        # Message and position as the character-by-character scanner gave them.
+        with pytest.raises(ParseError) as info:
+            parse_composition(bad)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [(" [ 1 , 2 ] ", (1, 2)), ("[1\t,\t2]", (1, 2)), ("[\t]", ()), ("[ 01 ,10]", (1, 10)), ("\u3000[\u00a01]", (1,))],
+    )
+    def test_parse_whitespace_anywhere(self, text, expected):
+        assert parse_composition(text) == expected
