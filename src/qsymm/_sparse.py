@@ -17,7 +17,9 @@ must match between operands.
 Public constructors validate every key and coefficient. Results the
 package builds itself go through `_from_dict`, which trusts its keys and
 only orders them, drops zeros and collapses integral fractions. The text
-forms share one formatter and one term-list parser, both defined here.
+forms share one formatter and one term-list parser, both defined here; the
+parsers check every key and coefficient as they scan, so they build their
+results through `_from_dict` too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .compositions import _is_digit, _scan_int, _skip_ws
+from .compositions import _scan_int
 from .errors import ParseError
 
 Scalar = Union[int, Fraction]
@@ -264,29 +266,41 @@ def _parse_terms(
     if s.strip() == "0":
         return {}
     parse_bare = parse_bare or parse_body
-    pos = _skip_ws(s, 0)
+    # Whitespace is skipped inline: this loop runs once per term.
+    n = len(s)
+    pos = 0
+    while pos < n and s[pos].isspace():
+        pos += 1
     acc: dict = {}
+    get = acc.get
     first = True
-    while pos < len(s):
+    while pos < n:
         sign = 1
         if s[pos] in "+-":
             sign = -1 if s[pos] == "-" else 1
-            pos = _skip_ws(s, pos + 1)
+            pos += 1
+            while pos < n and s[pos].isspace():
+                pos += 1
         elif not first:
             raise ParseError("expected '+' or '-' between terms", pos)
         first = False
-        coeff: Scalar = 1
-        if _is_digit(s, pos):
+        if pos < n and "0" <= s[pos] <= "9":  # an ASCII digit, as `_scan_int` reads
             coeff, pos = scan_coeff(s, pos)
-            pos = _skip_ws(s, pos)
-            if pos < len(s) and s[pos] == "*":
-                key, pos = parse_body(s, _skip_ws(s, pos + 1))
+            while pos < n and s[pos].isspace():
+                pos += 1
+            if pos < n and s[pos] == "*":
+                pos += 1
+                while pos < n and s[pos].isspace():
+                    pos += 1
+                key, pos = parse_body(s, pos)
             else:
                 key = unit_key
+            acc[key] = get(key, 0) + sign * coeff
         else:
             key, pos = parse_bare(s, pos)
-        acc[key] = acc.get(key, 0) + sign * coeff
-        pos = _skip_ws(s, pos)
+            acc[key] = get(key, 0) + sign
+        while pos < n and s[pos].isspace():
+            pos += 1
     if first:
         raise ParseError(f"empty {name} literal", 0)
     return acc

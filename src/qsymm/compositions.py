@@ -19,6 +19,7 @@ term of its lambda powers, which is what the generator machinery relies on.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -199,9 +200,23 @@ def enumerate_elementary_lyndon(max_weight: int) -> list[Composition]:
     return sorted(found, key=wll_key)
 
 
-def format_composition(c: Composition) -> str:
-    """Render as `[a1,a2,...]`; the empty composition is `[]`."""
+# Rendered compositions are memoized like the package's other tables, in an
+# lru_cache; 4096 entries hold every composition of weight <= 12.
+_FORMAT_CACHE_CAP = 4096
+
+
+@lru_cache(maxsize=_FORMAT_CACHE_CAP)
+def _format_cached(c: Composition) -> str:
     return "[" + ",".join(str(p) for p in c) + "]"
+
+
+def format_composition(c: Iterable[int]) -> str:
+    """Render as `[a1,a2,...]`; the empty composition is `[]`.
+
+    Accepts any iterable of int parts. Texts come from `_format_cached`, an
+    lru_cache of the 4096 most recently rendered compositions.
+    """
+    return _format_cached(c if type(c) is tuple else tuple(c))
 
 
 def parse_composition(s: str) -> Composition:
@@ -219,17 +234,13 @@ def _skip_ws(s: str, pos: int) -> int:
     return pos
 
 
-def _is_digit(s: str, pos: int) -> bool:
-    # ASCII only: `str.isdigit` also admits digits no formatter writes, such
-    # as "\u0663", which `int` reads as 3, and "\u00b2", which it rejects.
-    return pos < len(s) and "0" <= s[pos] <= "9"
-
-
 def _scan_int(s: str, pos: int, what: str = "an integer") -> tuple[int, int]:
     """Read the digits at `pos`; returns (value, end). With no digit there,
     raises ParseError "expected <what>"."""
     end = pos
-    while end < len(s) and "0" <= s[end] <= "9":  # `_is_digit`, inlined
+    # ASCII only: `str.isdigit` also admits digits no formatter writes, such
+    # as "\u0663", which `int` reads as 3, and "\u00b2", which it rejects.
+    while end < len(s) and "0" <= s[end] <= "9":
         end += 1
     if end == pos:
         raise ParseError(f"expected {what}", pos)
@@ -237,24 +248,40 @@ def _scan_int(s: str, pos: int, what: str = "an integer") -> tuple[int, int]:
 
 
 def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
-    """Parse one composition literal starting at `pos`; returns (value, end)."""
-    pos = _skip_ws(s, pos)
-    if pos >= len(s) or s[pos] != "[":
+    """Parse one composition literal starting at `pos`; returns (value, end).
+
+    Whitespace and digits are scanned inline, as `_skip_ws` and `_scan_int`
+    would scan them, with the same messages and positions: this runs once
+    per composition of every parsed element."""
+    n = len(s)
+    while pos < n and s[pos].isspace():
+        pos += 1
+    if pos >= n or s[pos] != "[":
         raise ParseError("expected '['", pos)
-    pos = _skip_ws(s, pos + 1)
-    parts: list[int] = []
-    if pos < len(s) and s[pos] == "]":
+    pos += 1
+    while pos < n and s[pos].isspace():
+        pos += 1
+    if pos < n and s[pos] == "]":
         return (), pos + 1
+    parts: list[int] = []
     while True:
         start = pos
-        part, pos = _scan_int(s, pos, "a positive integer part")
-        if part < 1:
+        while pos < n and "0" <= s[pos] <= "9":
+            pos += 1
+        if pos == start:
+            raise ParseError("expected a positive integer part", pos)
+        part = int(s[start:pos])
+        if not part:
             raise ParseError("parts must be >= 1", start)
         parts.append(part)
-        pos = _skip_ws(s, pos)
-        if pos < len(s) and s[pos] == ",":
-            pos = _skip_ws(s, pos + 1)
-            continue
-        if pos < len(s) and s[pos] == "]":
+        while pos < n and s[pos].isspace():
+            pos += 1
+        ch = s[pos] if pos < n else ""
+        if ch == ",":
+            pos += 1
+            while pos < n and s[pos].isspace():
+                pos += 1
+        elif ch == "]":
             return tuple(parts), pos + 1
-        raise ParseError("expected ',' or ']'", pos)
+        else:
+            raise ParseError("expected ',' or ']'", pos)

@@ -133,16 +133,15 @@ def _mul_tries(root_a: list, root_b: list) -> dict[Composition, Scalar]:
 
 
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
+    """Sum the memoized quasi-shuffles of every term pair. Terms that cancel
+    stay in the dict as zeros; `QSymmElement._from_dict` drops them."""
     acc: dict[Composition, Scalar] = {}
+    get = acc.get
     for c1, q1 in a._terms.items():
         for c2, q2 in b._terms.items():
             q12 = q1 * q2
             for comp, m in _shuffle_terms(c1, c2):
-                s = acc.get(comp, 0) + q12 * m
-                if s:
-                    acc[comp] = s
-                else:
-                    acc.pop(comp, None)
+                acc[comp] = get(comp, 0) + q12 * m
     return acc
 
 
@@ -256,7 +255,10 @@ def parse_element(s: str) -> QSymmElement:
     """Parse element text: signed terms `coeff*[comp]`, `[comp]`, or a bare
     rational meaning a multiple of the empty composition. `0` is the zero
     element."""
-    return QSymmElement(
+    # The scanner validated every composition and coefficient and summed
+    # repeated keys, so the result needs no second pass through the
+    # public constructor.
+    return QSymmElement._from_dict(
         _parse_terms(s, _scan_rational, _parse_composition_at, (), "element", _parse_bare_composition)
     )
 

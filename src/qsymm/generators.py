@@ -523,7 +523,9 @@ def format_generator_polynomial(g: GeneratorPolynomial) -> str:
 
 def parse_generator_polynomial(s: str) -> GeneratorPolynomial:
     """Parse the text form produced by `format_generator_polynomial`."""
-    return GeneratorPolynomial(
+    # Factors are checked by `make_monomial` and coefficients are scanned
+    # ints, so no second pass through the public constructor is needed.
+    return GeneratorPolynomial._from_dict(
         _parse_terms(s, _scan_int, _parse_monomial, UNIT_MONOMIAL, "generator polynomial")
     )
 

@@ -20,6 +20,7 @@ from qsymm.compositions import (
     weight,
     wll_compare,
     wll_key,
+    _format_cached,
 )
 from qsymm.errors import ParseError
 
@@ -254,3 +255,14 @@ class TestTextFormat:
     )
     def test_parse_whitespace_anywhere(self, text, expected):
         assert parse_composition(text) == expected
+
+    def test_format_accepts_any_iterable(self):
+        assert format_composition([1, 2]) == format_composition((1, 2)) == "[1,2]"
+        assert format_composition(iter([3, 1])) == "[3,1]"
+        assert format_composition([]) == format_composition(()) == "[]"
+
+    def test_format_cache_is_bounded(self):
+        assert _format_cached.cache_info().maxsize == 4096
+        format_composition([7, 7])
+        assert _format_cached((7, 7)) == "[7,7]"
+        assert format_composition((7, 7)) == "[7,7]"

@@ -134,6 +134,24 @@ class TestMultiply:
         assert one ** 0 == QSymmElement.one()
         assert one ** 2 == one * one
 
+    def test_cancelled_terms_leave_no_zeros(self):
+        # ([1] + [2]) * ([1] - [2]) = 2*[1,1] + [2] - 2*[2,2] - [4]: the
+        # cross terms [1]*[2] cancel to zeros in the per-pair sum.
+        a = QSymmElement({(1,): 1, (2,): 1})
+        b = QSymmElement({(1,): 1, (2,): -1})
+        acc = _mul_pairwise(a, b)
+        assert {c for c, q in acc.items() if q == 0} == {(1, 2), (2, 1), (3,)}
+        expected = QSymmElement({(1, 1): 2, (2,): 1, (2, 2): -2, (4,): -1})
+        assert a * b == QSymmElement._from_dict(acc) == expected
+        assert list((a * b).terms()) == list(expected.terms())
+        rng = random.Random(71)
+        for _ in range(50):
+            # The cross terms x*y and -y*x cancel.
+            x, y = random_integral_element(rng, 3), random_integral_element(rng, 3)
+            product = (x + y) * (x - y)
+            assert all(q != 0 for _, q in product.terms())
+            assert product == x * x - y * y
+
 
 def route_operand(rng, terms, longest):
     """A seeded element of `terms` terms whose longest composition has
