@@ -214,7 +214,8 @@ def format_composition(c: Iterable[int]) -> str:
     """Render as `[a1,a2,...]`; the empty composition is `[]`.
 
     Accepts any iterable of int parts. Texts come from `_format_cached`, an
-    lru_cache of the 4096 most recently rendered compositions.
+    lru_cache of the 4096 most recently rendered compositions; equal tuples
+    share an entry, so parts that are not ints may render as equal ints.
     """
     return _format_cached(c if type(c) is tuple else tuple(c))
 
