@@ -264,5 +264,6 @@ class TestTextFormat:
     def test_format_cache_is_bounded(self):
         assert _format_cached.cache_info().maxsize == 4096
         format_composition([7, 7])
-        assert _format_cached((7, 7)) == "[7,7]"
-        assert format_composition((7, 7)) == "[7,7]"
+        hits = _format_cached.cache_info().hits
+        assert format_composition((7, 7)) == "[7,7]"  # a list and a tuple share the entry
+        assert _format_cached.cache_info().hits == hits + 1
