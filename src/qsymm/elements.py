@@ -16,6 +16,7 @@ leading term is always first and output is reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -31,10 +32,10 @@ from ._sparse import (  # Scalar and _norm_scalar stay importable from here
 from .compositions import (
     Composition,
     composition,
-    format_composition,
     parse_composition,
+    _format_cached,
     _parse_composition_at,
-    wll_key,
+    _wll_rank,
 )
 from .errors import ParseError
 
@@ -64,8 +65,8 @@ def _shuffle_terms(a: Composition, b: Composition) -> tuple[tuple[Composition, i
 
 # A trie node is [coefficient-at-node, {next part: child}, flat suffix list].
 # Multiplying two elements through their tries shares all common-suffix work,
-# which beats the per-term-pair route once both sides carry many long words
-# (see `QSymmElement.__mul__` for the measured crossover).
+# which beats the per-term-pair route once the per-pair work is large (see
+# `QSymmElement.__mul__` for the measured crossover).
 
 
 def _build_trie(terms: Iterable[tuple[Composition, Scalar]]) -> list:
@@ -145,9 +146,35 @@ def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Sca
     return acc
 
 
+@lru_cache(maxsize=1024)
+def _delannoy(m: int, n: int) -> int:
+    """D(m, n), the number of quasi-shuffle terms of two words of lengths m
+    and n counted with multiplicity (Hoffman, "Quasi-shuffle products",
+    2000), from D(i, j) = D(i-1, j) + D(i, j-1) + D(i-1, j-1) one row at a
+    time, without recursion."""
+    row = [1] * (n + 1)  # D(0, j) = 1
+    for _ in range(m):
+        diag = 1  # D(i-1, 0); the new row keeps D(i, 0) = 1
+        for j in range(1, n + 1):
+            diag, row[j] = row[j], row[j] + row[j - 1] + diag
+    return row[n]
+
+
+def _pair_work(a: Iterable[Composition], b: Iterable[Composition]) -> int:
+    """The per-pair route's work for two term lists: the quasi-shuffle
+    terms of every word pair, counted with multiplicity, from the two
+    word-length histograms."""
+    hb = Counter(map(len, b)).items()
+    return sum(k * j * _delannoy(m, n) for m, k in Counter(map(len, a)).items() for n, j in hb)
+
+
 def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
     return _mul_tries(_build_trie(a._terms.items()), _build_trie(b._terms.items()))
 
+
+# The per-pair work above which a product of two elements takes the trie
+# route; fitted on the corpus in `__mul__`.
+_TRIE_MIN_WORK = 10**5
 
 # Large products are cached whole; entries can be megabytes, so the cap is
 # small and the least recently used pair goes first.
@@ -164,7 +191,7 @@ class QSymmElement(SparseTerms):
     (no zero coefficients, terms sorted wll-descending)."""
 
     __slots__ = ()
-    _order = staticmethod(wll_key)
+    _order = staticmethod(_wll_rank)
     _descending = True
 
     def __init__(self, terms: Mapping[Composition, Scalar] | Iterable[tuple[Composition, Scalar]] = ()):
@@ -206,18 +233,33 @@ class QSymmElement(SparseTerms):
     def __mul__(self, other: Union["QSymmElement", Scalar]) -> "QSymmElement":
         if not isinstance(other, QSymmElement):
             return self._scale(other)
-        # Per-pair shuffles, memoized across calls, unless there are more
-        # than 64 term pairs and the two longest words have lengths summing
-        # past 8. Then the trie route shares common-suffix work, and the
-        # whole product is worth caching. Cold products, per-pair / trie, by
-        # that sum: <= 8, per-pair ties or wins by up to 8x (737 products of
-        # 9-11 terms of weight <= 4: 0.29 s / 2.46 s); 10, mixed
-        # (lambda_i([1,1]) * lambda_j([1,1]): the trie up to 1.7x faster;
-        # the 7 weight-10 certificate products: per-pair 5x faster); >= 12,
-        # the trie is 2-8x faster (lambda_4([1,1])**2: 16.0 s / 1.99 s).
+        # Per-pair shuffles, memoized across calls, unless the per-pair
+        # work `_pair_work` exceeds _TRIE_MIN_WORK. Then the trie route
+        # shares common-prefix and common-suffix work, and the whole product
+        # is worth caching. No word pair does more work than the two longest
+        # words, so that bound settles most products without the histograms.
+        #
+        # The threshold was fitted on recorded products, each route timed in
+        # its own process (medians of 5, Python 3.11.7, 2 vCPUs). Totals,
+        # per-pair only / trie only / this rule / the better route of each
+        # product:
+        #   certify, w = 1..10 (1303 products)   0.208 / 1.026 / 0.208 / 0.200 s
+        #   verify_all(7) (863)                  0.203 / 0.443 / 0.203 / 0.203 s
+        #   9 x 9 terms, one 5-part word (561)   0.249 / 1.803 / 0.249 / 0.249 s
+        #   lambda_i([1,1]) * lambda_j([1,1]),
+        #     i, j <= 4 (16)                     14.54 / 2.713 / 2.698 / 2.638 s
+        #   lambda_n(n, [alpha]), n <= 4,
+        #     weight(alpha) <= 4 (160)           2.873 / 1.214 / 1.266 / 1.200 s
+        #   perfbench session, seed 1 (3126)     0.477 / 3.189 / 0.477 / 0.477 s
+        # Every threshold from 55295 to 142023 makes the same choices there.
+        # There only lambda products reach the trie, lambda_4([1,1])**2
+        # among them: 1.8 s there against 12.3 s per-pair.
+        a, b = self._terms, other._terms
         if (
-            len(self._terms) * len(other._terms) <= 64
-            or max(map(len, self._terms)) + max(map(len, other._terms)) <= 8
+            not a
+            or not b
+            or len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b))) <= _TRIE_MIN_WORK
+            or _pair_work(a, b) <= _TRIE_MIN_WORK
         ):
             return QSymmElement._from_dict(_mul_pairwise(self, other))
         if hash(self) <= hash(other):  # commutative: one entry per pair
@@ -242,7 +284,7 @@ def quasi_shuffle(a: Iterable[int], b: Iterable[int]) -> QSymmElement:
 
 def format_element(el: QSymmElement) -> str:
     """Render in wll-descending order, e.g. `2*[1,1] + [2]`; zero is `0`."""
-    return _format_terms((q, format_composition(comp)) for comp, q in el.terms())
+    return _format_terms((q, _format_cached(comp)) for comp, q in el.terms())
 
 
 def _parse_bare_composition(s: str, pos: int) -> tuple[Composition, int]:

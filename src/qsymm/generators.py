@@ -46,6 +46,7 @@ from .compositions import (
     enumerate_elementary_lyndon,
     format_composition,
     is_lyndon,
+    _format_cached,
     _parse_composition_at,
     _scan_int,
     _skip_ws,
@@ -437,9 +438,11 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         if not el.is_integral() or not el.is_homogeneous(w):
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
         columns.append({index[comp]: int(q) for comp, q in el.terms()})
-    matrix = tuple(
-        tuple(col.get(i, 0) for col in columns) for i in range(len(comps))
-    )
+    rows = [[0] * len(columns) for _ in comps]
+    for j, col in enumerate(columns):
+        for i, q in col.items():
+            rows[i][j] = q
+    matrix = tuple(map(tuple, rows))
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
     det = _det_unit_pivot(columns)
@@ -508,7 +511,7 @@ def format_monomial(m: GeneratorMonomial) -> str:
         while j < len(m) and m[j] == m[i]:
             j += 1
         alpha, n = m[i]
-        piece = f"e{n}({format_composition(alpha)})"
+        piece = f"e{n}({_format_cached(alpha)})"
         if j - i > 1:
             piece += f"^{j - i}"
         pieces.append(piece)

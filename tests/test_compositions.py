@@ -1,6 +1,7 @@
 """Compositions, orders, Lyndon machinery and enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,8 +22,11 @@ from qsymm.compositions import (
     wll_compare,
     wll_key,
     _format_cached,
+    _wll_rank,
 )
+from qsymm.elements import QSymmElement, format_element
 from qsymm.errors import ParseError
+from qsymm.generators import format_monomial
 
 from helpers import brute_lyndon_factorizations
 
@@ -112,6 +116,35 @@ class TestOrders:
         ordered = sorted(comps, key=wll_key)
         for x, y in zip(ordered, ordered[1:]):
             assert wll_compare(x, y) == -1
+
+
+class TestWllRank:
+    """`_wll_rank` is the int the canonical element order sorts by."""
+
+    def test_sorts_like_wll_key_up_to_weight_14(self):
+        comps = all_compositions_up_to(14)
+        assert len(comps) == 2**14
+        ranks = [_wll_rank(c) for c in comps]
+        assert all(type(r) is int for r in ranks)
+        ordered = sorted(comps, key=wll_key)
+        assert sorted(comps, key=_wll_rank) == ordered
+        assert sorted(reversed(comps), key=_wll_rank) == ordered
+        assert len(set(ranks)) == len(comps)
+        assert _wll_rank(()) < _wll_rank((1,))
+
+    def test_sorts_like_wll_key_on_long_words_and_large_parts(self):
+        rng = random.Random(31)
+        comps = [()]
+        for _ in range(3000):
+            parts = rng.choice([(1, 2), (1, 2, 3, 50), (7, 300, 10**6)])
+            comps.append(tuple(rng.choice(parts) for _ in range(rng.randrange(1, 40))))
+        # equal weights, so length and lex decide
+        comps += [(1,) * 300, (2,) * 150, (1,) * 298 + (2,), (2,) + (1,) * 298, (300,)]
+        comps += [(256,), (255, 1), (1, 255), (257,), (1, 256), (10**9,), (10**9, 1)]
+        comps = list(dict.fromkeys(comps))
+        rng.shuffle(comps)
+        assert sorted(comps, key=_wll_rank) == sorted(comps, key=wll_key)
+        assert sorted(comps, key=_wll_rank, reverse=True) == sorted(comps, key=wll_key, reverse=True)
 
 
 class TestLyndon:
@@ -260,6 +293,23 @@ class TestTextFormat:
         assert format_composition([1, 2]) == format_composition((1, 2)) == "[1,2]"
         assert format_composition(iter([3, 1])) == "[3,1]"
         assert format_composition([]) == format_composition(()) == "[]"
+
+    @pytest.mark.parametrize("parts", [(True, 2), (1.0, 2), (1, 2.0)])
+    def test_format_rejects_non_int_parts_without_caching_them(self, parts):
+        _format_cached.cache_clear()
+        with pytest.raises(ValueError):
+            format_composition(parts)
+        assert format_composition((1, 2)) == "[1,2]"
+        assert format_element(QSymmElement({(1, 2): 3})) == "3*[1,2]"
+        assert format_monomial((((1, 2), 1),)) == "e1([1,2])"
+
+    def test_trusted_callers_cannot_cache_other_texts(self):
+        # format_monomial trusts its monomial and renders through the cache
+        _format_cached.cache_clear()
+        with pytest.raises(TypeError):
+            format_monomial((((1.0, 2), 1),))
+        assert format_monomial((((True, 2), 1),)) == "e1([1,2])"
+        assert format_element(QSymmElement({(1, 2): 3})) == "3*[1,2]"
 
     def test_format_cache_is_bounded(self):
         assert _format_cached.cache_info().maxsize == 4096

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from qsymm.elements import (
     QSymmElement,
     _mul_pairwise,
     _mul_trie,
+    _pair_work,
+    _shuffle_terms,
     _trie_product,
     element_from_json_obj,
     element_to_json_obj,
@@ -153,41 +156,73 @@ class TestMultiply:
             assert product == x * x - y * y
 
 
-def route_operand(rng, terms, longest):
-    """A seeded element of `terms` terms whose longest composition has
-    `longest` parts; the others have weight <= 4 and fewer parts."""
-    top = tuple(rng.choice((1, 2)) for _ in range(longest))
-    rest = [c for c in nonempty_up_to(4) if len(c) < longest]
-    comps = [top] + rng.sample(rest, terms - 1)
-    return QSymmElement({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in comps})
+def route_operand(rng, lengths):
+    """A seeded element of distinct words over the parts 1 and 2, one word
+    of each length in `lengths`."""
+    words = []
+    for n in lengths:
+        word = tuple(rng.choice((1, 2)) for _ in range(n))
+        while word in words:
+            word = tuple(rng.choice((1, 2)) for _ in range(n))
+        words.append(word)
+    return QSymmElement({c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in words})
+
+
+def delannoy(m, n):
+    """D(m, n) from its closed form, independent of `_pair_work`."""
+    return sum(math.comb(m, k) * math.comb(n, k) * 2**k for k in range(min(m, n) + 1))
+
+
+SHORT_9 = (3, 3, 3, 2, 2, 2, 2, 1)  # eight short words beside one long word
 
 
 class TestRouteChoice:
-    """A product takes per-pair shuffles unless it has more than 64 term
-    pairs and the longest words of its two sides have lengths summing past
-    8; only the trie route goes through the product cache."""
+    """A product takes per-pair shuffles unless the per-pair work, the
+    quasi-shuffle terms of every word pair counted with multiplicity,
+    exceeds 10**5; only the trie route goes through the product cache."""
 
     @pytest.mark.parametrize(
         "terms, longest, trie",
         [
-            ((9, 9), (4, 4), False),
-            ((9, 9), (5, 4), True),
-            ((9, 9), (5, 5), True),
-            ((9, 9), (6, 6), True),
-            ((8, 8), (5, 5), False),
-            ((5, 13), (5, 5), True),
+            # 128 terms times one term, a shape of the certificates' column
+            # products: 128 * D(7, 2) = 14464
+            ((128, 1), ((7,) * 128, (2,)), False),
+            # 108545 + 15 + 17 + 3 = 108580, just above 10**5
+            ((2, 2), ((7, 1), (8, 1)), True),
+            ((9, 9), ((8,) + SHORT_9, (8,) + SHORT_9), True),
+            # every word long: 4 * 48639
+            ((2, 2), ((7, 7), (7, 7)), True),
+            # one 5-part word among short ones, about 7x faster per pair
+            ((9, 9), ((5,) + SHORT_9, (5,) + SHORT_9), False),
+            ((5, 13), ((8, 2, 2, 1, 1), (7, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1)), True),
+            # 2 * 48639 + 2 * 15 = 97308, just below 10**5
+            ((2, 2), ((7, 7), (7, 1)), False),
+            # one term times many: the trie still shares the prefixes of the
+            # many-term side
+            ((1, 9), ((8,), (8,) + SHORT_9), True),
         ],
     )
     def test_route(self, terms, longest, trie):
         rng = random.Random(f"{terms} {longest}")
-        a, b = (route_operand(rng, n, m) for n, m in zip(terms, longest))
+        a, b = (route_operand(rng, lengths) for lengths in longest)
         assert (len(a), len(b)) == terms
-        assert tuple(max(map(len, x.compositions())) for x in (a, b)) == longest
+        work = sum(delannoy(len(x), len(y)) for x in a.compositions() for y in b.compositions())
+        assert _pair_work(a.compositions(), b.compositions()) == work
         _trie_product.cache_clear()
         product = a * b
         assert product == QSymmElement._from_dict(_mul_pairwise(a, b))
         assert product == QSymmElement._from_dict(_mul_trie(a, b))
         assert _trie_product.cache_info().misses == int(trie)
+
+    def test_shuffle_terms_count_delannoy(self):
+        words = [c for w in range(6) for c in enumerate_compositions(w)]
+        for a, b in itertools.product(words, repeat=2):
+            assert sum(m for _, m in _shuffle_terms(a, b)) == delannoy(len(a), len(b))
+
+    def test_work_of_a_deep_word(self):
+        # D(1500, 1) = 3001; the D rows are built in a loop, not by recursion
+        assert _pair_work([(1,) * 1500], [(1,)]) == 3001
+        assert _pair_work([(1,)], [(1,) * 1500]) == 3001
 
 
 class TestLeadingTerm:

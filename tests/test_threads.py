@@ -5,6 +5,7 @@ shared by every thread of the process. Threads that fill and evict them at
 the same time must get the answers one thread gets, and no thread may raise.
 """
 
+import itertools
 import random
 import sys
 import threading
@@ -70,11 +71,14 @@ def test_products_overflowing_the_cache():
 
 def test_trie_products_overflowing_the_cache():
     rng = random.Random(22)
-    # 33 elements of 9 terms give 561 unordered pairs, more than the product
-    # cache keeps. Each holds [1,1,1,1,1], so every pair's longest words sum
-    # to 10 and takes the cached trie route. The expected products come from
-    # the per-pair route, which bypasses that cache.
-    els = _random_elements(rng, 33, lambda r: SHORT + [(1, 1, 1, 1, 1)] + r.sample(enumerate_compositions(4), 1))
+    # 33 elements give 561 unordered pairs, more than the product cache
+    # keeps. Each is a distinct combination of [1]*5, [1]*6 and [1]*7, so
+    # every pair's per-pair work is 120633 quasi-shuffle terms, past the
+    # trie route's threshold, and takes the cached trie route. The expected
+    # products come from the per-pair route, which bypasses that cache.
+    words = [(1,) * 5, (1,) * 6, (1,) * 7]
+    coeffs = list(itertools.product([-3, -2, -1, 1, 2, 3], repeat=len(words)))
+    els = [QSymmElement(dict(zip(words, c))) for c in rng.sample(coeffs, 33)]
     pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
     expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
 
