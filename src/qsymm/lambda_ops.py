@@ -22,6 +22,7 @@ cleared before the next element goes in.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,32 +181,40 @@ def _series_mul(a: list[QSymmElement], b: list[QSymmElement], order: int) -> lis
     return [QSymmElement._from_dict(t) for t in out]
 
 
-def _series_exp(s: list[QSymmElement], order: int) -> list[QSymmElement]:
-    """exp of a series with zero constant term, truncated at `order`."""
+def _series_exp(s: list[QSymmElement], order: int, denominator: int = 1) -> list[QSymmElement]:
+    """exp(s / denominator) for a series s with zero constant term,
+    truncated at `order`: the sum of s**k / (denominator**k * k!). Each
+    power is built from s itself and scaled once, so an integral s keeps
+    the products integral."""
     if s[0]:
         raise ValueError("exp needs a series with zero constant term")
     result = [QSymmElement.one()] + [QSymmElement() for _ in range(order)]
     power = list(result)
+    scale = 1
     for k in range(1, order + 1):
         power = _series_mul(power, s, order)
-        power = [t * Fraction(1, k) for t in power]
-        for i in range(order + 1):
-            result[i] = result[i] + power[i]
+        scale *= denominator * k
+        for i in range(k, order + 1):
+            if power[i]:
+                result[i] = result[i] + power[i] * Fraction(1, scale)
     return result
 
 
 def exp_identity_check(alpha: Iterable[int], order: int) -> bool:
     """Check that exp(sum (-1)**(n-1)/n * f_n(alpha) t^n) truncated at
     `order` has integral coefficients and equals the lambda series of alpha
-    termwise. Returns False on any mismatch."""
+    termwise. Returns False on any mismatch.
+
+    The log series is taken as L / D with D = lcm(1..order), so that L has
+    integer coefficients (-1)**(n-1) * (D/n) * f_n(alpha)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     base = QSymmElement.monomial(composition(alpha))
+    d = math.lcm(*range(1, order + 1))
     log_terms = [QSymmElement()]
     for n in range(1, order + 1):
-        coeff = Fraction(1, n) if n % 2 == 1 else Fraction(-1, n)
-        log_terms.append(frobenius(n, base) * coeff)
-    exp_side = _series_exp(log_terms, order)
+        log_terms.append(frobenius(n, base) * (d // n if n % 2 == 1 else -(d // n)))
+    exp_side = _series_exp(log_terms, order, d)
     lam = lambda_series(base, order)
     for n in range(order + 1):
         if not exp_side[n].is_integral():

@@ -12,13 +12,13 @@ agreement in the ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, lshift
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
-from .compositions import composition, enumerate_compositions, format_composition
+from .compositions import Composition, composition, enumerate_compositions, format_composition
 from .elements import QSymmElement, quasi_shuffle
 from .lambda_ops import frobenius, lambda_n
 
@@ -77,33 +77,119 @@ class TruncatedPolynomial(SparseTerms):
         return f"TruncatedPolynomial({self.k}, {str(self)!r})"
 
 
+# -- packed kernel -------------------------------------------------------------
+#
+# The suite works on exponent vectors packed into ints (Kronecker
+# substitution): with width b, x_1^e_1..x_k^e_k is the int whose b-bit field
+# at bit b*(k - i) holds e_i, x_1 in the top field. Two monomials multiply
+# by adding their ints and the Adams operator x_j -> x_j**n multiplies the
+# int by n, exactly while every exponent formed stays below 2**b.
+# `TruncatedPolynomial`, with tuple keys, is built only to render text and
+# at the public functions.
+# None of this shares code with `quasi_shuffle`, `frobenius` or `lambda_n`.
+
+PackedTerms = dict[int, Scalar]
+
+
+def _width(top: int) -> int:
+    """Field width that holds every exponent up to `top`."""
+    return max(1, top.bit_length())
+
+
+def _shifts(k: int, b: int) -> range:
+    """Bit offset of each variable's field, x_1 first."""
+    return range(b * (k - 1), -1, -b)
+
+
+def _max_exponent(p: TruncatedPolynomial) -> int:
+    return max((max(exps, default=0) for exps, _ in p.terms()), default=0)
+
+
+def _pack(p: TruncatedPolynomial, b: int) -> PackedTerms:
+    out: PackedTerms = {}
+    for exps, q in p.terms():
+        x = 0
+        for e in exps:
+            x = x << b | e
+        out[x] = q
+    return out
+
+
+def _unpack(terms: PackedTerms, k: int, b: int) -> TruncatedPolynomial:
+    shifts = _shifts(k, b)
+    mask = (1 << b) - 1
+    return TruncatedPolynomial._from_dict(
+        {tuple([x >> s & mask for s in shifts]): q for x, q in terms.items()}, k
+    )
+
+
+@lru_cache(maxsize=4096)
+def _packed_expansion(alpha: Composition, k: int, b: int) -> PackedTerms:
+    """`expand_composition` packed at width b, for parts below 2**b. Shared
+    by every caller: read it, never change it."""
+    return {sum(map(lshift, alpha, idxs)): 1 for idxs in combinations(_shifts(k, b), len(alpha))}
+
+
+def _max_part(a: QSymmElement, k: int) -> int:
+    """Largest part among the compositions of `a` that survive in k
+    variables, so the largest exponent of its expansion (0 if none)."""
+    return max((max(comp) for comp, _ in a.terms() if 0 < len(comp) <= k), default=0)
+
+
+def _packed_element(a: QSymmElement, k: int, b: int) -> PackedTerms:
+    acc: PackedTerms = {}
+    for comp, q in a.terms():
+        if len(comp) <= k:
+            _iadd_scaled(acc, _packed_expansion(comp, k, b), q)
+    return acc
+
+
+def _packed_mul(p: PackedTerms, q: PackedTerms) -> PackedTerms:
+    acc: PackedTerms = {}
+    get = acc.get
+    for x1, c1 in p.items():
+        for x2, c2 in q.items():
+            x = x1 + x2
+            acc[x] = get(x, 0) + c1 * c2
+    return {x: c for x, c in acc.items() if c}
+
+
+def _packed_elementary(n: int, alpha: Composition, k: int, b: int) -> PackedTerms:
+    """e_n of the monomials of `alpha`'s expansion; n * max(alpha) must
+    stay below 2**b."""
+    elem: list[PackedTerms] = [{0: 1}] + [{} for _ in range(n)]
+    for mono in _packed_expansion(alpha, k, b):
+        for j in range(n, 0, -1):
+            _iadd_scaled(elem[j], {x + mono: q for x, q in elem[j - 1].items()})
+    return elem[n]
+
+
+# -- public polynomial side ----------------------------------------------------
+
+
+def _expandable(alpha: Iterable[int], k: int) -> Composition:
+    alpha = composition(alpha)
+    if _variable_count(k) < len(alpha):
+        raise ValueError(
+            f"insufficient variables: need at least {len(alpha)} for {format_composition(alpha)}"
+        )
+    return alpha
+
+
 def expand_composition(alpha: Iterable[int], k: int) -> TruncatedPolynomial:
     """Sum over strictly increasing index tuples in k variables; requires
     k >= length(alpha) so no witness monomial is lost."""
-    alpha = composition(alpha)
-    m = len(alpha)
-    if k < m:
-        raise ValueError(
-            f"insufficient variables: need at least {m} for {format_composition(alpha)}"
-        )
-    terms: dict[ExponentVector, Scalar] = {}
-    for idxs in combinations(range(k), m):
-        exps = [0] * k
-        for pos, part in zip(idxs, alpha):
-            exps[pos] = part
-        terms[tuple(exps)] = 1
-    return TruncatedPolynomial._from_dict(terms, k)
+    alpha = _expandable(alpha, k)
+    b = _width(max(alpha, default=0))
+    return _unpack(_packed_expansion(alpha, k, b), k, b)
 
 
 def expand_element(a: QSymmElement, k: int) -> TruncatedPolynomial:
     """Image of an element in k variables. Compositions longer than k need
     more distinct indices than are available, so they vanish; that makes
     this the honest ring map, at the price of faithfulness below weight k."""
-    acc: dict[ExponentVector, Scalar] = {}
-    for comp, q in a.terms():
-        if len(comp) <= k:
-            _iadd_scaled(acc, expand_composition(comp, k)._terms, q)
-    return TruncatedPolynomial._from_dict(acc, _variable_count(k))
+    b = _width(_max_part(a, _variable_count(k)))
+    return _unpack(_packed_element(a, k, b), k, b)
 
 
 def poly_mul(p: TruncatedPolynomial, q: TruncatedPolynomial) -> TruncatedPolynomial:
@@ -114,7 +200,8 @@ def frobenius_poly(n: int, p: TruncatedPolynomial) -> TruncatedPolynomial:
     """Substitute x_j -> x_j**n, i.e. scale every exponent vector by n."""
     if n < 1:
         raise ValueError("frobenius index must be >= 1")
-    return TruncatedPolynomial._from_dict({tuple(n * e for e in exps): q for exps, q in p.terms()}, p.k)
+    b = _width(n * _max_exponent(p))
+    return _unpack({n * x: q for x, q in _pack(p, b).items()}, p.k, b)
 
 
 def elementary_of_monomials(n: int, alpha: Iterable[int], k: int) -> TruncatedPolynomial:
@@ -123,12 +210,9 @@ def elementary_of_monomials(n: int, alpha: Iterable[int], k: int) -> TruncatedPo
     lambda power computed entirely on the polynomial side."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    monomials = expand_composition(alpha, k)._terms
-    elem: list[dict[ExponentVector, Scalar]] = [{(0,) * k: 1}] + [{} for _ in range(n)]
-    for mono in monomials:
-        for j in range(n, 0, -1):
-            _iadd_scaled(elem[j], {tuple(map(add, exps, mono)): q for exps, q in elem[j - 1].items()})
-    return TruncatedPolynomial._from_dict(elem[n], k)
+    alpha = _expandable(alpha, k)
+    b = _width(n * max(alpha, default=0))
+    return _unpack(_packed_elementary(n, alpha, k, b), k, b)
 
 
 # -- differential test driver -------------------------------------------------
@@ -195,14 +279,20 @@ class OracleReport:
         )
 
 
-def _check(identity: str, instance: str, element: QSymmElement, k: int, rhs: TruncatedPolynomial) -> OracleCheck:
-    """Compare `element`, expanded in k variables, with `rhs`. Both sides of
-    a passing check have one text. The check keeps the element, which is
-    far smaller than the polynomials, and renders that text from it when
-    first read."""
-    lhs = expand_element(element, k)
+def _packed_check(
+    identity: str, instance: str, element: QSymmElement, k: int, b: int, rhs: PackedTerms
+) -> OracleCheck:
+    """Compare `element`, expanded in k variables at width b, with `rhs`.
+    A part of 2**b or more cannot pack, and the check fails: no monomial of
+    `rhs` has such an exponent, and distinct compositions of length <= k
+    expand independently. Both sides of a passing check have one text. The
+    check keeps the element, which is far smaller than the polynomials, and
+    renders that text from it when first read."""
+    lhs = _packed_element(element, k, b) if _max_part(element, k) >> b == 0 else None
     if lhs != rhs:
-        return OracleCheck(identity, instance, "fail", str(lhs), str(rhs))
+        return OracleCheck(
+            identity, instance, "fail", str(expand_element(element, k)), str(_unpack(rhs, k, b))
+        )
 
     def text() -> str:
         return str(expand_element(element, k))
@@ -210,16 +300,27 @@ def _check(identity: str, instance: str, element: QSymmElement, k: int, rhs: Tru
     return OracleCheck(identity, instance, "pass", text, text)
 
 
+def _check(identity: str, instance: str, element: QSymmElement, k: int, rhs: TruncatedPolynomial) -> OracleCheck:
+    """`_packed_check` against a polynomial, at a width that holds both
+    sides."""
+    b = _width(max(_max_exponent(rhs), _max_part(element, k)))
+    return _packed_check(identity, instance, element, k, b, _pack(rhs, b))
+
+
 def oracle_suite(max_weight: int, k: int) -> OracleReport:
     """Differential test run: quasi-shuffle products, Adams operators and
     lambda powers recomputed on the polynomial side for all compositions up
     to `max_weight`. Requires k >= max_weight for faithfulness. Lambda
     checks are capped at weight-3 bases since their cost grows with n times
-    the weight; the dedicated test suite pins that window anyway."""
+    the weight; the dedicated test suite pins that window anyway.
+
+    Exponents reach max_weight in products and at most 3 * max_weight in
+    the Adams and lambda checks, so one packing width holds them all."""
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
     if k < max_weight:
         raise ValueError(f"need at least as many variables as the weight ({k} < {max_weight})")
+    bits = _width(3 * max_weight)
     checks: list[OracleCheck] = []
 
     by_weight = {w: enumerate_compositions(w) for w in range(0, max_weight + 1)}
@@ -227,14 +328,16 @@ def oracle_suite(max_weight: int, k: int) -> OracleReport:
     for u in range(0, max_weight + 1):
         for v in range(0, max_weight + 1 - u):
             for a in by_weight[u]:
+                pa = _packed_expansion(a, k, bits)
                 for b in by_weight[v]:
-                    rhs = expand_composition(a, k) * expand_composition(b, k)
+                    rhs = _packed_mul(pa, _packed_expansion(b, k, bits))
                     checks.append(
-                        _check(
+                        _packed_check(
                             "product",
                             f"{format_composition(a)}*{format_composition(b)}",
                             quasi_shuffle(a, b),
                             k,
+                            bits,
                             rhs,
                         )
                     )
@@ -243,18 +346,22 @@ def oracle_suite(max_weight: int, k: int) -> OracleReport:
         for w in range(1, max_weight + 1):
             for alpha in by_weight[w]:
                 lhs = frobenius(n, QSymmElement.monomial(alpha))
-                rhs = frobenius_poly(n, expand_composition(alpha, k))
+                rhs = {n * x: q for x, q in _packed_expansion(alpha, k, bits).items()}
                 checks.append(
-                    _check("frobenius", f"f{n}({format_composition(alpha)})", lhs, k, rhs)
+                    _packed_check("frobenius", f"f{n}({format_composition(alpha)})", lhs, k, bits, rhs)
                 )
 
     for n in (0, 1, 2, 3):
         for w in range(1, min(max_weight, 3) + 1):
             for alpha in by_weight[w]:
                 lhs = lambda_n(n, QSymmElement.monomial(alpha))
-                rhs = elementary_of_monomials(n, alpha, k)
+                rhs = _packed_elementary(n, alpha, k, bits)
                 checks.append(
-                    _check("lambda", f"lambda{n}({format_composition(alpha)})", lhs, k, rhs)
+                    _packed_check("lambda", f"lambda{n}({format_composition(alpha)})", lhs, k, bits, rhs)
                 )
 
+    # The expansions served this run. Kept, they would sit under the peak
+    # of whatever the caller runs next (verify-all: the exp identity);
+    # the few texts read later expand again.
+    _packed_expansion.cache_clear()
     return OracleReport(max_weight=max_weight, vars=k, checks=tuple(checks))

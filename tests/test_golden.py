@@ -9,6 +9,7 @@ rational and negative coefficients, products of 9-term elements on both
 sides of the per-pair/trie route choice, and malformed literals.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -47,3 +48,19 @@ def test_cli_output_matches_corpus(case, tmp_path):
     assert proc.returncode == rec["exit"]
     for name, text in rec["files"].items():
         assert (tmp_path / name).read_text() == text
+
+
+# `verify-all --max-weight 7 --json -`, the window the benchmark's `verify`
+# workload runs: 1231 checks and 3.69 MB of JSON, pinned by digest.
+VERIFY_ALL_7_SHA256 = "eca71d293f41f1523478c8ed67451be8eb68af91cb3eeeeb4896f738c704b666"
+
+
+def test_verify_all_weight_7_digest(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsymm.cli", "verify-all", "--max-weight", "7", "--json", "-"],
+        cwd=tmp_path,
+        env=_env(),
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_7_SHA256

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -253,3 +254,33 @@ class TestExpIdentity:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             exp_identity_check((1,), 0)
+
+
+class TestSumRule:
+    """lambda_n(a + b) = sum_i lambda_i(a) * lambda_{n-i}(b): lambda_t turns
+    sums into products."""
+
+    @staticmethod
+    def random_element(rng, coeffs):
+        comps = nonempty_up_to(3)
+        chosen = rng.sample(comps, rng.randint(1, 2))
+        return QSymmElement({c: rng.choice(coeffs) for c in chosen})
+
+    def assert_sum_rule(self, a, b, max_n):
+        for n in range(max_n + 1):
+            rhs = QSymmElement.zero()
+            for i in range(n + 1):
+                rhs = rhs + lambda_n(i, a) * lambda_n(n - i, b)
+            assert lambda_n(n, a + b) == rhs, (a, b, n)
+
+    def test_integral_elements(self):
+        rng = random.Random(2004)
+        for _ in range(6):
+            a = self.random_element(rng, (-2, -1, 1, 2))
+            b = self.random_element(rng, (-2, -1, 1, 2))
+            self.assert_sum_rule(a, b, 4)
+
+    def test_rational_coefficients(self):
+        a = QSymmElement({(1,): Fraction(1, 2), (2,): -1})
+        b = QSymmElement({(1, 1): Fraction(-2, 3)})
+        self.assert_sum_rule(a, b, 4)

@@ -12,6 +12,13 @@ from qsymm.lambda_ops import frobenius, lambda_n
 from qsymm.oracle import (
     TruncatedPolynomial,
     _check,
+    _pack,
+    _packed_check,
+    _packed_elementary,
+    _packed_expansion,
+    _packed_mul,
+    _unpack,
+    _width,
     elementary_of_monomials,
     expand_composition,
     expand_element,
@@ -218,3 +225,173 @@ class TestSuites:
         c = _check("product", "[1]*[]", mono((1,)), 2, expand_composition((2,), 2))
         assert c.status == "fail"
         assert (c.lhs, c.rhs) == (str(expand_composition((1,), 2)), str(expand_composition((2,), 2)))
+
+
+# -- the packed kernel ----------------------------------------------------------
+#
+# The references below work on exponent tuples, as the oracle did before it
+# packed them into ints: `tuple_expansion` is a sum over increasing index
+# tuples, products use the generic `SparseTerms` product, Adams operators
+# scale each exponent and lambda powers run the elementary loop.
+
+
+def tuple_expansion(alpha, k):
+    terms = {}
+    for idxs in itertools.combinations(range(k), len(alpha)):
+        exps = [0] * k
+        for pos, part in zip(idxs, alpha):
+            exps[pos] = part
+        terms[tuple(exps)] = 1
+    return TruncatedPolynomial(k, terms)
+
+
+def tuple_element(a, k):
+    out = TruncatedPolynomial.zero(k)
+    for comp, q in a.terms():
+        if len(comp) <= k:
+            out = out + tuple_expansion(comp, k) * q
+    return out
+
+
+def tuple_elementary(n, alpha, k):
+    elem = [TruncatedPolynomial.one(k)] + [TruncatedPolynomial.zero(k)] * n
+    for exps, _ in tuple_expansion(alpha, k).terms():
+        mono = TruncatedPolynomial(k, {exps: 1})
+        for j in range(n, 0, -1):
+            elem[j] = elem[j] + elem[j - 1] * mono
+    return elem[n]
+
+
+class TestPackedKernel:
+    def test_round_trip_at_field_limit(self):
+        for k, b in [(1, 1), (3, 2), (4, 5), (7, 5)]:
+            top = (1 << b) - 1
+            polys = [
+                TruncatedPolynomial(k, {(top,) * k: 1}),
+                TruncatedPolynomial(k, {tuple(top * (i == j) for i in range(k)): j + 1 for j in range(k)}),
+                TruncatedPolynomial(k, {tuple(min(i, top) for i in range(k)): Fraction(-1, 3), (0,) * k: 2}),
+            ]
+            for p in polys:
+                packed = _pack(p, b)
+                assert all(0 <= x < 1 << (b * k) for x in packed)
+                assert list(_unpack(packed, k, b).terms()) == list(p.terms())
+
+    def test_expansion_matches_tuples(self):
+        for alpha in [()] + nonempty_up_to(4):
+            for k in range(len(alpha), 6):
+                b = _width(max(alpha, default=0))
+                assert _unpack(_packed_expansion(alpha, k, b), k, b) == tuple_expansion(alpha, k)
+                assert expand_composition(alpha, k) == tuple_expansion(alpha, k)
+
+    def test_product_window(self):
+        comps = [()] + nonempty_up_to(5)
+        b = _width(18)
+        for a, c in itertools.combinations_with_replacement(comps, 2):
+            if sum(a) + sum(c) > 6:
+                continue
+            packed = _packed_mul(_packed_expansion(a, 6, b), _packed_expansion(c, 6, b))
+            assert _unpack(packed, 6, b) == tuple_expansion(a, 6) * tuple_expansion(c, 6), (a, c)
+
+    def test_frobenius_window(self):
+        b = _width(12)
+        for n in (1, 2, 3):
+            for alpha in nonempty_up_to(4):
+                packed = {n * x: q for x, q in _packed_expansion(alpha, 4, b).items()}
+                p = tuple_expansion(alpha, 4)
+                scaled = TruncatedPolynomial(4, {tuple(n * e for e in exps): q for exps, q in p.terms()})
+                assert _unpack(packed, 4, b) == scaled, (n, alpha)
+                assert frobenius_poly(n, p) == scaled
+
+    def test_lambda_window(self):
+        b = _width(18)
+        for n in (0, 1, 2, 3):
+            for alpha in nonempty_up_to(3):
+                ref = tuple_elementary(n, alpha, 6)
+                assert _unpack(_packed_elementary(n, alpha, 6, b), 6, b) == ref, (n, alpha)
+                assert elementary_of_monomials(n, alpha, 6) == ref
+
+    def test_element_expansion(self):
+        el = mono((1, 2), 3) + mono((3,), Fraction(-1, 2)) + mono((1, 1, 1, 1)) + mono(())
+        for k in (2, 3, 4):
+            assert expand_element(el, k) == tuple_element(el, k)
+
+    def test_expansion_cache_is_bounded(self):
+        assert _packed_expansion.cache_info().maxsize is not None
+
+    def test_oversized_part_fails(self):
+        # a part of 2**b cannot pack; the check must fail, not wrap into
+        # the neighbouring variable's field
+        b = 2
+        element = mono((4,))
+        c = _packed_check("frobenius", "f4([1])", element, 2, b, {})
+        assert c.status == "fail"
+        assert (c.lhs, c.rhs) == (str(tuple_element(element, 2)), "0")
+        # packed at width 2, x1*x2^4 would read as x1^2: wrapped, the
+        # check would pass
+        x1_squared = TruncatedPolynomial(2, {(2, 0): 1})
+        c = _packed_check("product", "x", mono((1, 4)), 2, b, _pack(x1_squared, b))
+        assert c.status == "fail"
+        assert (c.lhs, c.rhs) == ("x1*x2^4", "x1^2")
+
+    def test_check_with_polynomial_rhs(self):
+        c = _check("frobenius", "f3([1,2])", mono((3, 6)), 3, frobenius_poly(3, expand_composition((1, 2), 3)))
+        assert c.status == "pass"
+        assert c.lhs == c.rhs == str(tuple_expansion((3, 6), 3))
+        c = _check("lambda", "lambda2([2])", mono((2, 2)), 3, tuple_expansion((4,), 3))
+        assert c.status == "fail"
+        assert (c.lhs, c.rhs) == (str(tuple_expansion((2, 2), 3)), str(tuple_expansion((4,), 3)))
+
+
+class TestBrokenCodeUnderTest:
+    """A suite run on a broken `quasi_shuffle` or `frobenius` reports the
+    broken checks, with the texts of the tuple route."""
+
+    @staticmethod
+    def drop_one(element):
+        terms = dict(element.terms())
+        terms.pop(next(iter(terms)))
+        return QSymmElement(terms)
+
+    @staticmethod
+    def alter_one(element):
+        terms = dict(element.terms())
+        first = next(iter(terms))
+        terms[first] += 1
+        return QSymmElement(terms)
+
+    def failures(self, monkeypatch, name, broken, max_weight, k):
+        import qsymm.oracle as oracle
+
+        monkeypatch.setattr(oracle, name, broken)
+        return oracle_suite(max_weight, k).failures
+
+    def test_dropped_product_term(self, monkeypatch):
+        def broken(a, b):
+            out = quasi_shuffle(a, b)
+            return self.drop_one(out) if (a, b) == ((1,), (1, 2)) else out
+
+        (c,) = self.failures(monkeypatch, "quasi_shuffle", broken, 4, 4)
+        assert (c.identity, c.instance, c.status) == ("product", "[1]*[1,2]", "fail")
+        assert c.lhs == str(tuple_element(self.drop_one(quasi_shuffle((1,), (1, 2))), 4))
+        assert c.rhs == str(tuple_expansion((1,), 4) * tuple_expansion((1, 2), 4))
+
+    def test_altered_frobenius_term(self, monkeypatch):
+        def broken(n, a):
+            out = frobenius(n, a)
+            return self.alter_one(out) if n == 2 and a == mono((2, 1)) else out
+
+        (c,) = self.failures(monkeypatch, "frobenius", broken, 3, 3)
+        assert (c.identity, c.instance, c.status) == ("frobenius", "f2([2,1])", "fail")
+        assert c.lhs == str(tuple_expansion((4, 2), 3) * 2)
+        p = tuple_expansion((2, 1), 3)
+        assert c.rhs == str(TruncatedPolynomial(3, {tuple(2 * e for e in exps): q for exps, q in p.terms()}))
+
+    def test_frobenius_beyond_packing_width(self, monkeypatch):
+        # exponents above 3 * max_weight do not fit the suite's width
+        def broken(n, a):
+            return frobenius(4 * n, a) if a == mono((1,)) else frobenius(n, a)
+
+        fails = self.failures(monkeypatch, "frobenius", broken, 2, 2)
+        assert [c.instance for c in fails] == ["f1([1])", "f2([1])", "f3([1])"]
+        assert fails[2].lhs == str(tuple_expansion((12,), 2))
+        assert fails[2].rhs == str(tuple_expansion((3,), 2))
