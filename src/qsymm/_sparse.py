@@ -16,7 +16,8 @@ must match between operands.
 
 Public constructors validate every key and coefficient. Results the
 package builds itself go through `_from_dict`, which trusts its keys and
-only orders them, drops zeros and collapses integral fractions. The text
+only orders them, drops zeros and collapses integral fractions, or through
+`_from_sorted` when they are in canonical form already. The text
 forms share one formatter and one term-list parser, both defined here; the
 parsers check every key and coefficient as they scan, so they build their
 results through `_from_dict` too.
@@ -122,10 +123,16 @@ class SparseTerms:
         """Trusted construction from keys the package built itself: orders
         the keys, drops zeros and collapses integral fractions, but validates
         nothing."""
+        return cls._from_sorted(cls._canonical(terms), tag)
+
+    @classmethod
+    def _from_sorted(cls, terms: dict, tag=None):
+        """Trusted construction from a dict already in canonical form; the
+        object keeps `terms` itself."""
         obj = object.__new__(cls)
         if tag is not None:
             obj._tag = tag
-        obj._terms = cls._canonical(terms)
+        obj._terms = terms
         obj._hash = None
         return obj
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._sparse import (  # Scalar and _norm_scalar stay importable from here
@@ -36,31 +37,66 @@ from .compositions import (
     _format_cached,
     _parse_composition_at,
     _wll_rank,
+    _RANK_MAX_WEIGHT,
 )
 from .errors import ParseError
 
 
+# The per-pair route memoizes quasi-shuffles of packed composition codes.
+# The code of a weight-w composition (p1, ..., pk) has the sentinel bit w set
+# and bit w - (p1 + ... + pi) for each i, so it holds w + 1 bits. Ints make
+# cheap dict keys, as hashing one walks no tuple; giving a code a new first
+# part is one add (see `_shuffle_codes`); and the wll rank follows from the
+# code alone (see `_decode`). Codes stay small because only products of
+# weight at most _RANK_MAX_WEIGHT take this route.
+
+
+def _encode(c: Composition) -> int:
+    code = 1
+    for p in c:
+        code = (code << p) | 1
+    return code
+
+
+@lru_cache(maxsize=1 << 16)
+def _decode(code: int) -> tuple[int, Composition, int]:
+    """(wll rank, composition, code) of a code; the rank is `_wll_rank` of
+    the composition, whose part ends are the set bits below the sentinel."""
+    w = code.bit_length() - 1
+    comp = tuple(len(run) + 1 for run in bin(code)[3:].split("1")[:-1])
+    return (1 << 2 * w) + (code.bit_count() << w) - code, comp, code
+
+
 @lru_cache(maxsize=None)
-def _shuffle_terms(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
-    """Quasi-shuffle of two basis compositions as a term tuple (int coeffs)."""
+def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...]:
+    """Quasi-shuffle of two basis compositions as (code, multiplicity) pairs.
+
+    Each of the three recursive branches puts one new part in front of a
+    sub-shuffle of total weight W. Whatever that part p is, it turns the
+    sub-shuffle's sentinel bit W into a part end and sets the new sentinel
+    at W + p = weight(a) + weight(b), so every branch adds the same bit."""
     if b < a:  # commutative; canonicalize to halve the cache
         a, b = b, a
     if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    acc: dict[Composition, int] = {}
-    head_a, tail_a = a[0], a[1:]
-    head_b, tail_b = b[0], b[1:]
-    for prefix, rest_a, rest_b in (
-        ((head_a,), tail_a, b),
-        ((head_b,), a, tail_b),
-        ((head_a + head_b,), tail_a, tail_b),
-    ):
-        for comp, m in _shuffle_terms(rest_a, rest_b):
-            key = prefix + comp
-            acc[key] = acc.get(key, 0) + m
+        return ((_encode(b), 1),)
+    acc: dict[int, int] = {}
+    get = acc.get
+    top = 1 << (sum(a) + sum(b))
+    tail_a, tail_b = a[1:], b[1:]
+    for rest_a, rest_b in ((tail_a, b), (a, tail_b), (tail_a, tail_b)):
+        for code, m in _shuffle_codes(rest_a, rest_b):
+            code += top
+            acc[code] = get(code, 0) + m
     return tuple(acc.items())
+
+
+def _shuffle_terms(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
+    """Quasi-shuffle of two basis compositions as (composition, multiplicity)
+    pairs: `_shuffle_codes` decoded, or, for a pair heavier than
+    _RANK_MAX_WEIGHT, whose codes would be that many bits long, the trie's."""
+    if sum(a) + sum(b) > _RANK_MAX_WEIGHT:
+        return tuple(_mul_tries(_build_trie(((a, 1),)), _build_trie(((b, 1),))).items())
+    return tuple((_decode(code)[1], m) for code, m in _shuffle_codes(a, b))
 
 
 # A trie node is [coefficient-at-node, {next part: child}, flat suffix list].
@@ -134,16 +170,22 @@ def _mul_tries(root_a: list, root_b: list) -> dict[Composition, Scalar]:
 
 
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
-    """Sum the memoized quasi-shuffles of every term pair. Terms that cancel
-    stay in the dict as zeros; `QSymmElement._from_dict` drops them."""
-    acc: dict[Composition, Scalar] = {}
+    """Sum the memoized quasi-shuffles of every term pair by code, then
+    decode each distinct code once: the result is in canonical form, with
+    no zeros and integral fractions stored as int."""
+    acc: dict[int, Scalar] = {}
     get = acc.get
     for c1, q1 in a._terms.items():
         for c2, q2 in b._terms.items():
             q12 = q1 * q2
-            for comp, m in _shuffle_terms(c1, c2):
-                acc[comp] = get(comp, 0) + q12 * m
-    return acc
+            for code, m in _shuffle_codes(c1, c2):
+                acc[code] = get(code, 0) + q12 * m
+    out: dict[Composition, Scalar] = {}
+    for _, comp, code in sorted(map(_decode, acc), key=itemgetter(0), reverse=True):
+        q = acc[code]
+        if q:
+            out[comp] = q if type(q) is int or q.denominator != 1 else q.numerator
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -254,14 +296,21 @@ class QSymmElement(SparseTerms):
         # Every threshold from 55295 to 142023 makes the same choices there.
         # There only lambda products reach the trie, lambda_4([1,1])**2
         # among them: 1.8 s there against 12.3 s per-pair.
+        #
+        # The per-pair route packs compositions into codes one bit per unit
+        # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
+        # trie whatever its work. The first terms are the heaviest.
         a, b = self._terms, other._terms
         if (
             not a
             or not b
-            or len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b))) <= _TRIE_MIN_WORK
-            or _pair_work(a, b) <= _TRIE_MIN_WORK
+            or sum(next(iter(a))) + sum(next(iter(b))) <= _RANK_MAX_WEIGHT
+            and (
+                len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b))) <= _TRIE_MIN_WORK
+                or _pair_work(a, b) <= _TRIE_MIN_WORK
+            )
         ):
-            return QSymmElement._from_dict(_mul_pairwise(self, other))
+            return QSymmElement._from_sorted(_mul_pairwise(self, other))
         if hash(self) <= hash(other):  # commutative: one entry per pair
             return _trie_product(self, other)
         return _trie_product(other, self)

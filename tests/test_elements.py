@@ -4,16 +4,21 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from qsymm.compositions import enumerate_compositions
+from qsymm.compositions import _wll_rank, enumerate_compositions, wll_key
 from qsymm.elements import (
     QSymmElement,
+    _decode,
+    _encode,
     _mul_pairwise,
     _mul_trie,
     _pair_work,
+    _shuffle_codes,
     _shuffle_terms,
     _trie_product,
     element_from_json_obj,
@@ -83,6 +88,11 @@ class TestQuasiShuffle:
         for c in nonempty_up_to(4):
             assert quasi_shuffle((), c) == QSymmElement.monomial(c)
 
+    def test_heavy_part(self):
+        # too heavy for packed codes: the pair is shuffled through the trie
+        n = 10**9
+        assert list(quasi_shuffle((n,), (1,)).terms()) == [((n, 1), 1), ((1, n), 1), ((n + 1,), 1)]
+
     def test_integer_coefficients(self):
         for a, b in itertools.product(nonempty_up_to(3), repeat=2):
             assert quasi_shuffle(a, b).is_integral()
@@ -139,12 +149,13 @@ class TestMultiply:
 
     def test_cancelled_terms_leave_no_zeros(self):
         # ([1] + [2]) * ([1] - [2]) = 2*[1,1] + [2] - 2*[2,2] - [4]: the
-        # cross terms [1]*[2] cancel to zeros in the per-pair sum.
+        # cross terms [1]*[2] cancel in the per-pair sum.
         a = QSymmElement({(1,): 1, (2,): 1})
         b = QSymmElement({(1,): 1, (2,): -1})
         acc = _mul_pairwise(a, b)
-        assert {c for c, q in acc.items() if q == 0} == {(1, 2), (2, 1), (3,)}
         expected = QSymmElement({(1, 1): 2, (2,): 1, (2, 2): -2, (4,): -1})
+        assert not {(1, 2), (2, 1), (3,)} & acc.keys()
+        assert list(acc.items()) == list(expected.terms())
         assert a * b == QSymmElement._from_dict(acc) == expected
         assert list((a * b).terms()) == list(expected.terms())
         rng = random.Random(71)
@@ -219,10 +230,121 @@ class TestRouteChoice:
         for a, b in itertools.product(words, repeat=2):
             assert sum(m for _, m in _shuffle_terms(a, b)) == delannoy(len(a), len(b))
 
+    @pytest.mark.parametrize(
+        "left, right, trie",
+        [
+            ((255,), (1,), False),  # weight 256: codes of 257 bits
+            ((256,), (1,), True),  # weight 257: no code is built
+            ((300, 1), (2,), True),
+            ((10**9,), (1,), True),
+        ],
+    )
+    def test_weight_guard(self, left, right, trie):
+        a, b = QSymmElement.monomial(left), QSymmElement.monomial(right)
+        _trie_product.cache_clear()
+        shuffles = _shuffle_codes.cache_info()
+        product = a * b
+        assert _trie_product.cache_info().misses == int(trie)
+        if trie:
+            assert _shuffle_codes.cache_info() == shuffles
+        expected = tuple_shuffle(left, right)
+        assert product == QSymmElement(expected)
+        assert list(product.terms()) == sorted(expected.items(), key=lambda t: wll_key(t[0]), reverse=True)
+
     def test_work_of_a_deep_word(self):
         # D(1500, 1) = 3001; the D rows are built in a loop, not by recursion
         assert _pair_work([(1,) * 1500], [(1,)]) == 3001
         assert _pair_work([(1,)], [(1,) * 1500]) == 3001
+
+
+@cache
+def tuple_shuffle(a, b):
+    """The quasi-shuffle of two compositions as a Counter of words, by the
+    defining recursion on tuples, independent of the packed codes."""
+    if not a or not b:
+        return Counter({a + b: 1})
+    out = Counter()
+    for head, rest in ((a[:1], tuple_shuffle(a[1:], b)), (b[:1], tuple_shuffle(a, b[1:])),
+                       ((a[0] + b[0],), tuple_shuffle(a[1:], b[1:]))):
+        for word, m in rest.items():
+            out[head + word] += m
+    return out
+
+
+def seeded_compositions(rng, count, max_len, max_part):
+    return [tuple(rng.randint(1, max_part) for _ in range(rng.randint(1, max_len))) for _ in range(count)]
+
+
+class TestPackedCodes:
+    """The per-pair route's kernel: compositions packed into ints."""
+
+    @staticmethod
+    def code(c):
+        # the sentinel bit w, then bit w - s for each partial sum s
+        w = sum(c)
+        return (1 << w) | sum(1 << (w - s) for s in itertools.accumulate(c))
+
+    def corpus(self):
+        rng = random.Random(19)
+        comps = nonempty_up_to(10) + [()]
+        comps += seeded_compositions(rng, 200, 60, 4)  # long
+        comps += seeded_compositions(rng, 200, 8, 32)  # heavy
+        comps += [(256,), (1,) * 256, (128, 1, 127), (255, 1)]
+        return [c for c in comps if sum(c) <= 256]
+
+    def test_round_trip(self):
+        for c in self.corpus():
+            code = self.code(c)
+            assert _encode(c) == code
+            assert code.bit_length() == sum(c) + 1
+            assert _decode(code) == (_wll_rank(c), c, code)
+
+    def test_rank_sorts_like_wll_key(self):
+        comps = self.corpus()
+        random.Random(23).shuffle(comps)
+        by_rank = sorted(comps, key=lambda c: _decode(self.code(c))[0])
+        assert by_rank == sorted(comps, key=wll_key)
+
+    def test_shuffle_codes_match_tuple_recursion(self):
+        rng = random.Random(29)
+        words = nonempty_up_to(5) + [()]
+        pairs = list(itertools.product(words, repeat=2))
+        longer = seeded_compositions(rng, 20, 7, 3)
+        pairs += [(rng.choice(longer), rng.choice(longer)) for _ in range(20)]
+        pairs += [((200, 1), (30, 25)), ((1,) * 12, (2,) * 2)]
+        for a, b in pairs:
+            codes = _shuffle_codes(a, b)
+            decoded = Counter()
+            for code, m in codes:
+                decoded[_decode(code)[1]] += m
+            assert len(decoded) == len(codes)  # each code appears once
+            assert decoded == tuple_shuffle(a, b)
+            assert dict(_shuffle_terms(a, b)) == tuple_shuffle(a, b)
+
+    def test_pairwise_result_is_canonical(self):
+        # (1/2*[1] + [2]) * (2*[1] - [2]): the Fraction products 1/2 * 2
+        # give integral coefficients, which must be stored as int
+        a = QSymmElement({(1,): Fraction(1, 2), (2,): 1})
+        b = QSymmElement({(1,): 2, (2,): -1})
+        acc = _mul_pairwise(a, b)
+        h = Fraction(3, 2)
+        assert list(acc.items()) == [
+            ((2, 2), -2), ((4,), -1), ((2, 1), h), ((1, 2), h), ((3,), h), ((1, 1), 2), ((2,), 1)
+        ]
+        assert [type(q) for q in acc.values()] == [int, int, Fraction, Fraction, Fraction, int, int]
+        rng = random.Random(31)
+        for _ in range(40):
+            x = random_integral_element(rng, 4) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            y = random_integral_element(rng, 4) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            acc = _mul_pairwise(x, y)
+            assert list(acc) == sorted(acc, key=wll_key, reverse=True)
+            assert all(q and (type(q) is int or q.denominator != 1) for q in acc.values())
+            expected = Counter()
+            for (c1, q1), (c2, q2) in itertools.product(x.terms(), y.terms()):
+                for word, m in tuple_shuffle(c1, c2).items():
+                    expected[word] += q1 * q2 * m
+            assert acc == {w: q for w, q in expected.items() if q}
+            assert QSymmElement._from_dict(_mul_trie(x, y)) == QSymmElement._from_sorted(acc)
 
 
 class TestLeadingTerm:
