@@ -144,37 +144,20 @@ def verify_all(max_weight: int) -> list[OracleCheck]:
                 _vcheck("exp-identity", f"{format_composition(alpha)} order 4", ok)
             )
 
-    for w in range(1, max_weight + 1):
-        try:
-            cert = freeness_certificate(w)
-            checks.append(
-                _vcheck(
-                    "certificate",
-                    f"weight {w}",
-                    cert.is_unimodular,
-                    str(cert.determinant),
-                    "+1/-1",
-                )
-            )
-        except ConsistencyError as exc:
-            checks.append(_vcheck("certificate", f"weight {w}", False, str(exc), "+1/-1"))
-
-    for w in range(1, min(5, max_weight) + 1):
-        try:
-            cert = freeness_certificate(w, "product")
-            checks.append(
-                _vcheck(
-                    "certificate-product-form",
-                    f"weight {w}",
-                    cert.is_unimodular,
-                    str(cert.determinant),
-                    "+1/-1",
-                )
-            )
-        except ConsistencyError as exc:
-            checks.append(
-                _vcheck("certificate-product-form", f"weight {w}", False, str(exc), "+1/-1")
-            )
+    # The elementary family is asked for by weight alone, as library callers
+    # ask for it: `freeness_certificate(w)` and `freeness_certificate(w,
+    # "elementary")` are separate cache entries.
+    for identity, family, top in (
+        ("certificate", (), max_weight),
+        ("certificate-product-form", ("product",), min(5, max_weight)),
+    ):
+        for w in range(1, top + 1):
+            try:
+                cert = freeness_certificate(w, *family)
+                ok, lhs = cert.is_unimodular, str(cert.determinant)
+            except ConsistencyError as exc:
+                ok, lhs = False, str(exc)
+            checks.append(_vcheck(identity, f"weight {w}", ok, lhs, "+1/-1"))
 
     return checks
 
@@ -313,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for quasisymmetric functions: quasi-shuffle "
         "products, lambda operations, Lyndon generator bases and freeness "
         "certificates.",
-        epilog="QSYMM_MAX_MEMO caps the number of memoized lambda series: "
-        "empty means 4096, ASCII decimal digits give the cap, 0 disables "
-        "the table, and any other value is an error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

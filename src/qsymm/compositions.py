@@ -71,10 +71,35 @@ def wll_key(c: Composition) -> tuple[int, int, Composition]:
 
 # Canonical element order sorts by `_wll_rank`, an int that compares like
 # `wll_key`: ints compare several times faster than tuples, and the cache
-# holds every composition of weight <= 16. An int rank of a weight-w
-# composition needs at least w - 1 bits, so compositions heavier than
-# _RANK_MAX_WEIGHT get a `_HeavyRank` instead of an ever larger cached int.
+# holds every composition of weight <= 16. The rank is read off the packed
+# code of `_encode`, which the per-pair product route keys its memo by. A
+# code and an int rank of a weight-w composition need at least w bits, so
+# compositions heavier than _RANK_MAX_WEIGHT get a `_HeavyRank` instead of
+# an ever larger cached int, and their products never take packed codes.
 _RANK_MAX_WEIGHT = 256
+
+
+def _encode(c: Composition) -> int:
+    """The packed code of a weight-w composition (p1, ..., pk): the (w + 1)-bit
+    int with the sentinel bit w and bit w - (p1 + ... + pi), where part i
+    ends, for each i."""
+    code = 1
+    for p in c:
+        code = (code << p) | 1
+    return code
+
+
+def _code_rank(code: int) -> int:
+    """The wll rank of the composition with this code.
+
+    Among words of one weight w and length, the lex-smaller word ends a
+    part first at the first difference, which sets a higher bit, so lex
+    order is the reverse of the code. The length (the set bits, less the
+    sentinel) goes above the w bits below the sentinel, and 4**w above
+    that puts every weight above all lighter ones.
+    """
+    w = code.bit_length() - 1
+    return (1 << 2 * w) + (code.bit_count() << w) - code
 
 
 class _HeavyRank:
@@ -95,22 +120,10 @@ class _HeavyRank:
 
 @lru_cache(maxsize=1 << 16)
 def _wll_rank(c: Composition) -> "int | _HeavyRank":
-    """A sort key that orders compositions exactly like `wll_key`.
-
-    `ends` has bit w - s set for each s at which a part ends, read from the
-    most significant bit: the w - 1 cut bits of the weight-w composition,
-    then a final 1. Among words of one weight and length, the lex-smaller
-    word cuts first at the first difference, so lex order is the reverse
-    of `ends`. The length goes above those w bits, and 4**w above that puts
-    every weight above all lighter ones.
-    """
-    w = sum(c)
-    if w > _RANK_MAX_WEIGHT:
+    """A sort key that orders compositions exactly like `wll_key`."""
+    if sum(c) > _RANK_MAX_WEIGHT:
         return _HeavyRank(c)
-    ends = 0
-    for p in c:
-        ends = (ends << p) | 1
-    return (1 << 2 * w) + (len(c) << w) - ends
+    return _code_rank(_encode(c))
 
 
 def wll_compare(a: Composition, b: Composition) -> int:

@@ -34,6 +34,8 @@ from .compositions import (
     Composition,
     composition,
     parse_composition,
+    _code_rank,
+    _encode,
     _format_cached,
     _parse_composition_at,
     _wll_rank,
@@ -42,29 +44,20 @@ from .compositions import (
 from .errors import ParseError
 
 
-# The per-pair route memoizes quasi-shuffles of packed composition codes.
-# The code of a weight-w composition (p1, ..., pk) has the sentinel bit w set
-# and bit w - (p1 + ... + pi) for each i, so it holds w + 1 bits. Ints make
-# cheap dict keys, as hashing one walks no tuple; giving a code a new first
-# part is one add (see `_shuffle_codes`); and the wll rank follows from the
-# code alone (see `_decode`). Codes stay small because only products of
-# weight at most _RANK_MAX_WEIGHT take this route.
-
-
-def _encode(c: Composition) -> int:
-    code = 1
-    for p in c:
-        code = (code << p) | 1
-    return code
+# The per-pair route memoizes quasi-shuffles of packed composition codes
+# (`compositions._encode`). Ints make cheap dict keys, as hashing one walks
+# no tuple; giving a code a new first part is one add (see
+# `_shuffle_codes`); and the wll rank follows from the code alone (see
+# `_decode`). Codes stay small because only products of weight at most
+# _RANK_MAX_WEIGHT take this route.
 
 
 @lru_cache(maxsize=1 << 16)
 def _decode(code: int) -> tuple[int, Composition, int]:
-    """(wll rank, composition, code) of a code; the rank is `_wll_rank` of
-    the composition, whose part ends are the set bits below the sentinel."""
-    w = code.bit_length() - 1
+    """(wll rank, composition, code) of a code; the composition's part ends
+    are the set bits below the sentinel."""
     comp = tuple(len(run) + 1 for run in bin(code)[3:].split("1")[:-1])
-    return (1 << 2 * w) + (code.bit_count() << w) - code, comp, code
+    return _code_rank(code), comp, code
 
 
 @lru_cache(maxsize=None)

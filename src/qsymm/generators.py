@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from itertools import groupby
+from typing import Callable, Iterable, Iterator
 
 from ._sparse import (
     SparseTerms,
@@ -500,23 +501,19 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
 # -- text and JSON forms ------------------------------------------------------
 
 
+def _factor_powers(m: GeneratorMonomial) -> Iterator[tuple[Factor, int]]:
+    """The distinct factors of a monomial in order, each with its power."""
+    return ((f, len(list(run))) for f, run in groupby(m))
+
+
 def format_monomial(m: GeneratorMonomial) -> str:
     """Render like `e1([1])^2*e2([1,2])`; the unit monomial is `1`."""
     if not m:
         return "1"
-    pieces: list[str] = []
-    i = 0
-    while i < len(m):
-        j = i
-        while j < len(m) and m[j] == m[i]:
-            j += 1
-        alpha, n = m[i]
-        piece = f"e{n}({_format_cached(alpha)})"
-        if j - i > 1:
-            piece += f"^{j - i}"
-        pieces.append(piece)
-        i = j
-    return "*".join(pieces)
+    return "*".join(
+        f"e{n}({_format_cached(alpha)})" + (f"^{power}" if power > 1 else "")
+        for (alpha, n), power in _factor_powers(m)
+    )
 
 
 def format_generator_polynomial(g: GeneratorPolynomial) -> str:
@@ -569,19 +566,16 @@ def _parse_factor(s: str, pos: int) -> tuple[Factor, int, int]:
 
 def generator_polynomial_to_json_obj(g: GeneratorPolynomial) -> list[dict]:
     """JSON form mirroring the element format, with factor arrays."""
-    out: list[dict] = []
-    for mono, c in g.terms():
-        factors: list[dict] = []
-        i = 0
-        while i < len(mono):
-            j = i
-            while j < len(mono) and mono[j] == mono[i]:
-                j += 1
-            alpha, n = mono[i]
-            factors.append({"alpha": list(alpha), "n": n, "power": j - i})
-            i = j
-        out.append({"factors": factors, "coeff": str(c)})
-    return out
+    return [
+        {
+            "factors": [
+                {"alpha": list(alpha), "n": n, "power": power}
+                for (alpha, n), power in _factor_powers(mono)
+            ],
+            "coeff": str(c),
+        }
+        for mono, c in g.terms()
+    ]
 
 
 def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:

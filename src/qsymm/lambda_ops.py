@@ -14,18 +14,18 @@ those monomials, which the polynomial oracle verifies directly.
 Every division by n in the recursion is exact on integral elements; an
 inexact one raises IntegralityError because it can only mean a bug.
 
-Computed lambda series are memoized per element. The environment variable
-QSYMM_MAX_MEMO caps the number of cached elements: empty means 4096, and
-ASCII decimal digits give the cap, 0 disabling the table. A full table is
-cleared before the next element goes in.
+Computed lambda series are memoized per element in `_series_box`, an
+lru_cache of the 4096 most recently used elements, like the package's other
+bounded memos. Each entry keeps the longest coefficient tuple computed so
+far, so a series grows in place as higher orders are asked for.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from ._sparse import Scalar, _iadd_scaled
@@ -33,22 +33,21 @@ from .compositions import Composition, composition
 from .elements import QSymmElement
 from .errors import IntegralityError
 
-_DEFAULT_MEMO_CAP = 4096
-_series_memo: dict[QSymmElement, list[QSymmElement]] = {}
+
+@lru_cache(maxsize=4096)
+def _series_box(a: QSymmElement) -> list[tuple[QSymmElement, ...]]:
+    """A one-slot box holding the longest lambda-series coefficients of `a`
+    computed so far. One entry per element, whatever the order, so an
+    evicted element loses its whole series and never just its low orders."""
+    return [(QSymmElement.one(),)]
 
 
 def _memo_cap() -> int:
-    raw = os.environ.get("QSYMM_MAX_MEMO", "")
-    if not raw:
-        return _DEFAULT_MEMO_CAP
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"QSYMM_MAX_MEMO must be empty or ASCII decimal digits, got {raw!r}")
-    return int(raw)
+    """How many elements the lambda-series table keeps."""
+    return _series_box.cache_info().maxsize
 
 
-def clear_memo() -> None:
-    """Drop all cached lambda series (mainly for tests and memory control)."""
-    _series_memo.clear()
+clear_memo = _series_box.cache_clear
 
 
 def frobenius(n: int, a: QSymmElement) -> QSymmElement:
@@ -94,10 +93,11 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
     """Lambda series of `a` up to the given truncation order (memoized)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    cached = _series_memo.get(a)
-    # Extend a copy and swap it in whole: entries are only ever replaced by
-    # longer versions of themselves, so concurrent last-write-wins is safe.
-    coeffs = list(cached) if cached is not None else [QSymmElement.one()]
+    box = _series_box(a)
+    # Extend a copy and swap it in whole: a box only ever takes a longer
+    # version of its series, so concurrent callers can lose work but never
+    # store a wrong series.
+    coeffs = list(box[0])
     integral = a.is_integral()
     while len(coeffs) <= order:
         n = len(coeffs)
@@ -106,12 +106,8 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
             term = coeffs[n - i] * frobenius(i, a)
             _iadd_scaled(acc, term._terms, 1 if i % 2 == 1 else -1)
         coeffs.append(_divide_exact(acc, n, integral))
-    if cached is None or len(coeffs) > len(cached):
-        cap = _memo_cap()
-        if cap:
-            if len(_series_memo) >= cap and a not in _series_memo:
-                _series_memo.clear()
-            _series_memo[a] = coeffs
+    if len(coeffs) > len(box[0]):
+        box[0] = tuple(coeffs)
     return LambdaSeries(a, tuple(coeffs[: order + 1]))
 
 

@@ -168,33 +168,21 @@ class TestSeries:
         with pytest.raises(ValueError):
             adams_from_lambda(3, s)
 
-    def test_memo_cap(self, monkeypatch):
+    def test_memo_is_a_bounded_lru_cache(self):
         import qsymm.lambda_ops as lo
 
-        monkeypatch.setenv("QSYMM_MAX_MEMO", "2")
+        assert lo._series_box.cache_info().maxsize == 4096
+        assert lo._memo_cap() == 4096
         clear_memo()
         try:
-            for c in [(1,), (2,), (3,), (1, 1)]:
-                assert lambda_n(2, mono(c)).is_integral()
-            assert len(lo._series_memo) <= 2
+            # one entry per element, whatever the order asked for
+            for n in range(5):
+                assert lambda_n(n, mono((1, 2))).is_integral()
+            assert lo._series_box.cache_info().currsize == 1
+            assert len(lo._series_box(mono((1, 2)))[0]) == 5
         finally:
             clear_memo()
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", " 8", "1_0", "\u0663"])
-    def test_memo_cap_rejects_malformed_values(self, monkeypatch, raw):
-        monkeypatch.setenv("QSYMM_MAX_MEMO", raw)
-        clear_memo()
-        with pytest.raises(ValueError, match="QSYMM_MAX_MEMO") as info:
-            lambda_n(2, mono((1, 2)))
-        assert repr(raw) in str(info.value)
-
-    def test_memo_cap_zero_disables_the_table(self, monkeypatch):
-        import qsymm.lambda_ops as lo
-
-        monkeypatch.setenv("QSYMM_MAX_MEMO", "0")
-        clear_memo()
-        assert lambda_n(2, mono((1,))) == mono((1, 1))
-        assert lo._series_memo == {}
+        assert lo._series_box.cache_info().currsize == 0
 
 
 class TestGenerators:

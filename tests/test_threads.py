@@ -1,8 +1,10 @@
 """The package's memo tables under concurrent use.
 
 The product cache, the quasi-shuffle memo and the lambda-series table are
-shared by every thread of the process. Threads that fill and evict them at
-the same time must get the answers one thread gets, and no thread may raise.
+lru_caches shared by every thread of the process. Threads that fill and
+evict them at the same time must get the answers one thread gets, and no
+thread may raise. The lambda-series table is too large to fill in a test,
+so a thread clears it over and over while the others grow its series.
 """
 
 import itertools
@@ -94,24 +96,38 @@ def test_trie_products_overflowing_the_cache():
     assert _trie_product.cache_info().misses > _PRODUCT_CACHE_CAP
 
 
-def test_lambda_series_with_a_full_table(monkeypatch):
+def test_lambda_series_with_a_full_table():
     rng = random.Random(21)
     operands = [QSymmElement.monomial(c) for c in SHORT]
     operands += _random_elements(rng, 6, lambda r: r.sample(SHORT, 2))
     requests = [(n, a) for n in (1, 2, 3) for a in operands]
     clear_memo()
     expected = [lambda_n(n, a) for n, a in requests]
+    done = threading.Event()
+    clears = 0
 
     def work(k):
         order = random.Random(k).sample(range(len(requests)), len(requests))
         return [r for r in order * 3 if lambda_n(*requests[r]) != expected[r]]
 
-    # a table of two entries is full, and cleared, at almost every store
-    monkeypatch.setenv("QSYMM_MAX_MEMO", "2")
+    # a ninth thread empties the table, as eviction would, while the eight
+    # read, extend and store the series in it
+    def clear_until_done():
+        nonlocal clears
+        while not done.is_set():
+            clear_memo()
+            clears += 1
+
+    clearer = threading.Thread(target=clear_until_done)
     clear_memo()
+    clearer.start()
     try:
         results, errors = _run_threads(work)
     finally:
+        done.set()
+        clearer.join(timeout=120)
         clear_memo()
+    assert not clearer.is_alive()
+    assert clears > 1
     assert errors == []
     assert results == [[]] * THREADS
