@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ._sparse import (
     SparseTerms,
@@ -501,19 +500,26 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
 # -- text and JSON forms ------------------------------------------------------
 
 
-def _factor_powers(m: GeneratorMonomial) -> Iterator[tuple[Factor, int]]:
-    """The distinct factors of a monomial in order, each with its power."""
-    return ((f, len(list(run))) for f, run in groupby(m))
+def _factor_powers(m: GeneratorMonomial) -> list[list]:
+    """The distinct factors of a monomial in order, each as [factor, power];
+    a canonical monomial holds equal factors next to each other."""
+    runs: list[list] = []
+    for f in m:
+        if runs and runs[-1][0] == f:
+            runs[-1][1] += 1
+        else:
+            runs.append([f, 1])
+    return runs
 
 
 def format_monomial(m: GeneratorMonomial) -> str:
     """Render like `e1([1])^2*e2([1,2])`; the unit monomial is `1`."""
     if not m:
         return "1"
-    return "*".join(
+    return "*".join([
         f"e{n}({_format_cached(alpha)})" + (f"^{power}" if power > 1 else "")
         for (alpha, n), power in _factor_powers(m)
-    )
+    ])
 
 
 def format_generator_polynomial(g: GeneratorPolynomial) -> str:
