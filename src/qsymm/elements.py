@@ -83,89 +83,9 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
     return tuple(acc.items())
 
 
-def _shuffle_terms(a: Composition, b: Composition) -> tuple[tuple[Composition, int], ...]:
-    """Quasi-shuffle of two basis compositions as (composition, multiplicity)
-    pairs: `_shuffle_codes` decoded, or, for a pair heavier than
-    _RANK_MAX_WEIGHT, whose codes would be that many bits long, the trie's."""
-    if sum(a) + sum(b) > _RANK_MAX_WEIGHT:
-        return tuple(_mul_tries(_build_trie(((a, 1),)), _build_trie(((b, 1),))).items())
-    return tuple((_decode(code)[1], m) for code, m in _shuffle_codes(a, b))
-
-
-# A trie node is [coefficient-at-node, {next part: child}, flat suffix list].
-# Multiplying two elements through their tries shares all common-suffix work,
-# which beats the per-term-pair route once the per-pair work is large (see
-# `QSymmElement.__mul__` for the measured crossover).
-
-
-def _build_trie(terms: Iterable[tuple[Composition, Scalar]]) -> list:
-    root: list = [0, {}, None]
-    for comp, q in terms:
-        node = root
-        for part in comp:
-            node = node[1].setdefault(part, [0, {}, None])
-        node[0] += q
-    _flatten_trie(root)
-    return root
-
-
-def _flatten_trie(node: list) -> list:
-    """Postorder fill of each node's nonempty-suffix word list."""
-    flat: list[tuple[Composition, Scalar]] = []
-    for part, child in node[1].items():
-        _flatten_trie(child)
-        prefix = (part,)
-        if child[0]:
-            flat.append((prefix, child[0]))
-        for word, q in child[2]:
-            flat.append((prefix + word, q))
-    node[2] = flat
-    return node
-
-
-def _mul_tries(root_a: list, root_b: list) -> dict[Composition, Scalar]:
-    memo: dict[tuple, dict[Composition, Scalar]] = {}
-
-    def rec(a: list, with_eps_a: bool, b: list, with_eps_b: bool) -> dict[Composition, Scalar]:
-        key = (id(a), with_eps_a, id(b), with_eps_b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res: dict[Composition, Scalar] = {}
-        if with_eps_a and a[0]:
-            ca = a[0]
-            if with_eps_b and b[0]:
-                res[()] = ca * b[0]
-            for word, q in b[2]:
-                res[word] = res.get(word, 0) + ca * q
-        if with_eps_b and b[0]:
-            cb = b[0]
-            for word, q in a[2]:
-                res[word] = res.get(word, 0) + cb * q
-        for x, child_a in a[1].items():
-            for word, q in rec(child_a, True, b, False).items():
-                key2 = (x,) + word
-                res[key2] = res.get(key2, 0) + q
-        for y, child_b in b[1].items():
-            for word, q in rec(a, False, child_b, True).items():
-                key2 = (y,) + word
-                res[key2] = res.get(key2, 0) + q
-        for x, child_a in a[1].items():
-            for y, child_b in b[1].items():
-                merged = (x + y,)
-                for word, q in rec(child_a, True, child_b, True).items():
-                    key2 = merged + word
-                    res[key2] = res.get(key2, 0) + q
-        memo[key] = res
-        return res
-
-    return rec(root_a, True, root_b, True)
-
-
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
-    """Sum the memoized quasi-shuffles of every term pair by code, then
-    decode each distinct code once: the result is in canonical form, with
-    no zeros and integral fractions stored as int."""
+    """Sum the memoized quasi-shuffles of every term pair by code; the
+    result is in canonical form."""
     acc: dict[int, Scalar] = {}
     get = acc.get
     for c1, q1 in a._terms.items():
@@ -173,6 +93,12 @@ def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Sca
             q12 = q1 * q2
             for code, m in _shuffle_codes(c1, c2):
                 acc[code] = get(code, 0) + q12 * m
+    return _from_codes(acc)
+
+
+def _from_codes(acc: dict[int, Scalar]) -> dict[Composition, Scalar]:
+    """The canonical form of a sum keyed by code: each code decoded once,
+    sorted by rank, zeros dropped and integral fractions stored as int."""
     out: dict[Composition, Scalar] = {}
     for _, comp, code in sorted(map(_decode, acc), key=itemgetter(0), reverse=True):
         q = acc[code]
@@ -203,8 +129,77 @@ def _pair_work(a: Iterable[Composition], b: Iterable[Composition]) -> int:
     return sum(k * j * _delannoy(m, n) for m, k in Counter(map(len, a)).items() for n, j in hb)
 
 
+def _reversed_trie(terms: Iterable[tuple[Composition, Scalar]]) -> tuple[list, list[dict[int, int]]]:
+    """The trie of the reversed words: `coef[i]` is the coefficient of the
+    word read from node i up to the root, and `kids[i]` maps a part to its
+    child node. Every child's index is above its parent's."""
+    coef: list = [0]
+    kids: list[dict[int, int]] = [{}]
+    for comp, q in terms:
+        node = 0
+        for part in reversed(comp):
+            child = kids[node].get(part)
+            if child is None:
+                child = kids[node][part] = len(coef)
+                coef.append(0)
+                kids.append({})
+            node = child
+        coef[node] += q
+    return coef, kids
+
+
 def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
-    return _mul_tries(_build_trie(a._terms.items()), _build_trie(b._terms.items()))
+    """The product, in canonical form, over the tries of the reversed words.
+
+    The words below node i are S(i) = coef[i] + sum_x S(i_x).x, where i_x is
+    the child at part x and w.x appends x to w. Hoffman's last-part
+    recursion of the quasi-shuffle ("Quasi-shuffle products", 2000) gives
+
+        S(i) * S(j) = coef_a[i] coef_b[j] + sum_x (S(i_x) * S(j)).x
+                      + sum_y (S(i) * S(j_y)).y + sum_x,y (S(i_x) * S(j_y)).(x+y)
+
+    so one loop over node pairs in descending index order computes each
+    pair's product once, from pairs computed before it. Words are ints, and
+    appending a part is one shift-or: `_encode`'s codes when the product
+    weighs at most _RANK_MAX_WEIGHT, else one fixed-width digit per part."""
+    ta, tb = a._terms, b._terms
+    coef_a, kids_a = _reversed_trie(ta.items())
+    coef_b, kids_b = _reversed_trie(tb.items())
+    if len(coef_a) < len(coef_b):  # a row holds one product per node of b
+        coef_a, kids_a, coef_b, kids_b = coef_b, kids_b, coef_a, kids_a
+    weight = sum(next(iter(ta), ())) + sum(next(iter(tb), ()))  # the first terms are the heaviest
+    width = weight.bit_length()  # no part of the product exceeds its weight
+    light = weight <= _RANK_MAX_WEIGHT
+    nb = len(coef_b)
+    rows: list = [None] * len(coef_a)  # rows[i][j] = S(i) * S(j) as {word: coefficient}
+    for i in reversed(range(len(coef_a))):
+        ca, kids_i = coef_a[i], kids_a[i].items()
+        row = rows[i] = [None] * nb
+        for j in reversed(range(nb)):
+            cb = coef_b[j]
+            res = {1: ca * cb} if ca and cb else {}  # 1 is the empty word
+            # Words from distinct children of i end in distinct parts and
+            # never meet; the two sums below may meet them and each other.
+            for x, ka in kids_i:
+                shift, tag = (x, 1) if light else (width, x)
+                res.update({(w << shift) | tag: q for w, q in rows[ka][j].items()})
+            get = res.get
+            for y, kb in kids_b[j].items():
+                for src, part in [(row[kb], y)] + [(rows[ka][kb], x + y) for x, ka in kids_i]:
+                    shift, tag = (part, 1) if light else (width, part)
+                    for w, q in src.items():
+                        w = (w << shift) | tag
+                        res[w] = get(w, 0) + q
+            row[j] = res
+        for ka in kids_a[i].values():  # only this row reads the children's rows
+            rows[ka] = None
+    acc = rows[0][0]
+    if light:
+        return _from_codes(acc)
+    mask = (1 << width) - 1  # the digits sit below the sentinel, the first part highest
+    return QSymmElement._canonical(
+        {tuple(w >> s & mask for s in range(w.bit_length() - 1 - width, -1, -width)): q for w, q in acc.items()}
+    )
 
 
 # The per-pair work above which a product of two elements takes the trie
@@ -218,7 +213,7 @@ _PRODUCT_CACHE_CAP = 512
 
 @lru_cache(maxsize=_PRODUCT_CACHE_CAP)
 def _trie_product(a: "QSymmElement", b: "QSymmElement") -> "QSymmElement":
-    return QSymmElement._from_dict(_mul_trie(a, b))
+    return QSymmElement._from_sorted(_mul_trie(a, b))
 
 
 class QSymmElement(SparseTerms):
@@ -270,25 +265,25 @@ class QSymmElement(SparseTerms):
             return self._scale(other)
         # Per-pair shuffles, memoized across calls, unless the per-pair
         # work `_pair_work` exceeds _TRIE_MIN_WORK. Then the trie route
-        # shares common-prefix and common-suffix work, and the whole product
-        # is worth caching. No word pair does more work than the two longest
+        # shares the work of common suffixes, and the whole product is
+        # worth caching. No word pair does more work than the two longest
         # words, so that bound settles most products without the histograms.
         #
-        # The threshold was fitted on recorded products, each route timed in
-        # its own process (medians of 5, Python 3.11.7, 2 vCPUs). Totals,
-        # per-pair only / trie only / this rule / the better route of each
-        # product:
-        #   certify, w = 1..10 (1303 products)   0.208 / 1.026 / 0.208 / 0.200 s
-        #   verify_all(7) (863)                  0.203 / 0.443 / 0.203 / 0.203 s
-        #   9 x 9 terms, one 5-part word (561)   0.249 / 1.803 / 0.249 / 0.249 s
+        # The threshold was fitted on recorded products with an earlier trie
+        # kernel. Each route timed in its own process, with this kernel
+        # (medians of 5, Python 3.11.7, 2 vCPUs); totals, per-pair only /
+        # trie only / this rule / the better route of each product:
+        #   certify, w = 1..10 (1303 products)   0.146 / 0.339 / 0.146 / 0.138 s
+        #   verify_all(7) (1439)                 0.078 / 0.138 / 0.078 / 0.057 s
+        #   9 x 9 terms, one 5-part word (561)   0.186 / 0.739 / 0.186 / 0.186 s
         #   lambda_i([1,1]) * lambda_j([1,1]),
-        #     i, j <= 4 (16)                     14.54 / 2.713 / 2.698 / 2.638 s
+        #     i, j <= 4 (16)                     8.073 / 0.862 / 0.864 / 0.859 s
         #   lambda_n(n, [alpha]), n <= 4,
-        #     weight(alpha) <= 4 (160)           2.873 / 1.214 / 1.266 / 1.200 s
-        #   perfbench session, seed 1 (3126)     0.477 / 3.189 / 0.477 / 0.477 s
+        #     weight(alpha) <= 4 (160)           1.784 / 0.517 / 0.569 / 0.515 s
+        #   perfbench session, seed 1 (3126)     0.344 / 1.213 / 0.344 / 0.344 s
         # Every threshold from 55295 to 142023 makes the same choices there.
         # There only lambda products reach the trie, lambda_4([1,1])**2
-        # among them: 1.8 s there against 12.3 s per-pair.
+        # among them: 0.59 s there against 6.7 s per-pair.
         #
         # The per-pair route packs compositions into codes one bit per unit
         # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
@@ -318,7 +313,7 @@ def quasi_shuffle(a: Iterable[int], b: Iterable[int]) -> QSymmElement:
     >>> print(quasi_shuffle((1,), (1,)))
     2*[1,1] + [2]
     """
-    return QSymmElement._from_dict(dict(_shuffle_terms(composition(a), composition(b))))
+    return QSymmElement.monomial(a) * QSymmElement.monomial(b)
 
 
 # -- text and JSON forms ----------------------------------------------------

@@ -79,8 +79,8 @@ def make_monomial(factors: Iterable[Factor]) -> GeneratorMonomial:
         alpha = composition(alpha)
         if not alpha or not is_lyndon(alpha) or content_gcd(alpha) != 1:
             raise ValueError(f"{format_composition(alpha)} is not an elementary Lyndon word")
-        if n < 1:
-            raise ValueError("lambda index must be >= 1")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"lambda index must be >= 1 and an int, got {n!r}")
         canon.append((alpha, n))
     return tuple(sorted(canon, key=_factor_key))
 

@@ -52,7 +52,7 @@ class TruncatedPolynomial(SparseTerms):
 
     def _exponent_vector(self, exps: Iterable[int]) -> ExponentVector:
         exps = tuple(exps)
-        if len(exps) != self.k or any(e < 0 for e in exps):
+        if len(exps) != self.k or any(type(e) is not int or e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps!r} for {self.k} variables")
         return exps
 

@@ -35,8 +35,8 @@ P_BASIS = "p"
 
 def _partition(parts: Iterable[int]) -> Partition:
     p = tuple(sorted(parts, reverse=True))
-    if any(x < 1 for x in p):
-        raise ValueError("partition parts must be positive")
+    if any(type(x) is not int or x < 1 for x in p):
+        raise ValueError(f"partition parts must be positive ints, got {p!r}")
     return p
 
 
@@ -138,8 +138,8 @@ def plethysm_p(f: SymmPoly, m: int) -> SymmPoly:
     """Substitute p_k -> p_{k*m} in every term (plethysm by a power sum)."""
     if f.basis != P_BASIS:
         raise ValueError("plethysm_p needs a p-basis polynomial")
-    if m < 1:
-        raise ValueError("power-sum index must be >= 1")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"power-sum index must be an int >= 1, got {m!r}")
     return SymmPoly(P_BASIS, {tuple(k * m for k in part): q for part, q in f.terms()})
 
 

@@ -206,7 +206,7 @@ class TestHelp:
 class TestResourceLimits:
     def test_deep_composition_is_usage_error(self, capsys):
         ones = "[" + ",".join(["1"] * 1500) + "]"
-        code, _, err = invoke(capsys, "product", ones, "[1]")
+        code, _, err = invoke(capsys, "express", ones)
         assert code == 2
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1

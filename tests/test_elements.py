@@ -1,9 +1,11 @@
 """The quasi-shuffle algebra: arithmetic, canonical form, text and JSON."""
 
+import inspect
 import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -19,7 +21,6 @@ from qsymm.elements import (
     _mul_trie,
     _pair_work,
     _shuffle_codes,
-    _shuffle_terms,
     _trie_product,
     element_from_json_obj,
     element_to_json_obj,
@@ -228,26 +229,29 @@ class TestRouteChoice:
     def test_shuffle_terms_count_delannoy(self):
         words = [c for w in range(6) for c in enumerate_compositions(w)]
         for a, b in itertools.product(words, repeat=2):
-            assert sum(m for _, m in _shuffle_terms(a, b)) == delannoy(len(a), len(b))
+            assert sum(m for _, m in quasi_shuffle(a, b).terms()) == delannoy(len(a), len(b))
 
     @pytest.mark.parametrize(
         "left, right, trie",
         [
-            ((255,), (1,), False),  # weight 256: codes of 257 bits
-            ((256,), (1,), True),  # weight 257: no code is built
-            ((300, 1), (2,), True),
-            ((10**9,), (1,), True),
+            ({(255,): 1}, {(1,): 1}, False),  # weight 256: codes of 257 bits
+            ({(256,): 1}, {(1,): 1}, True),  # weight 257: no code is built
+            ({(300, 1): 1}, {(2,): 1}, True),
+            ({(10**9,): 1}, {(1,): 1}, True),
+            # (x + y + 3) * (x - y) with x = 1/2*[300], y = [2]: the cross
+            # terms x*y and -y*x cancel, and the empty word is a term
+            ({(300,): Fraction(1, 2), (2,): 1, (): 3}, {(300,): Fraction(1, 2), (2,): -1}, True),
         ],
     )
     def test_weight_guard(self, left, right, trie):
-        a, b = QSymmElement.monomial(left), QSymmElement.monomial(right)
+        a, b = QSymmElement(left), QSymmElement(right)
         _trie_product.cache_clear()
         shuffles = _shuffle_codes.cache_info()
         product = a * b
         assert _trie_product.cache_info().misses == int(trie)
         if trie:
             assert _shuffle_codes.cache_info() == shuffles
-        expected = tuple_shuffle(left, right)
+        expected = tuple_product(left, right)
         assert product == QSymmElement(expected)
         assert list(product.terms()) == sorted(expected.items(), key=lambda t: wll_key(t[0]), reverse=True)
 
@@ -255,6 +259,20 @@ class TestRouteChoice:
         # D(1500, 1) = 3001; the D rows are built in a loop, not by recursion
         assert _pair_work([(1,) * 1500], [(1,)]) == 3001
         assert _pair_work([(1,)], [(1,) * 1500]) == 3001
+
+    def test_deep_trie_product_needs_no_recursion(self):
+        # [1]*n * [1] weighs above 256, so it takes the trie, whose words are
+        # deeper than the lowered recursion limit
+        n = 300
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            product = QSymmElement.monomial((1,) * n) * QSymmElement.monomial((1,))
+        finally:
+            sys.setrecursionlimit(limit)
+        expected = {(1,) * (n + 1): n + 1}
+        expected.update({(1,) * i + (2,) + (1,) * (n - 1 - i): 1 for i in range(n)})
+        assert product == QSymmElement(expected)
 
 
 @cache
@@ -269,6 +287,22 @@ def tuple_shuffle(a, b):
         for word, m in rest.items():
             out[head + word] += m
     return out
+
+
+def tuple_product(x, y):
+    """The product of two {composition: coefficient} maps through
+    `tuple_shuffle`, with no zero coefficients."""
+    out = Counter()
+    for (c1, q1), (c2, q2) in itertools.product(x.items(), y.items()):
+        for word, m in tuple_shuffle(c1, c2).items():
+            out[word] += q1 * q2 * m
+    return {word: q for word, q in out.items() if q}
+
+
+def typed(terms):
+    """A term map's items with each coefficient's type, so that 2 and
+    Fraction(2) differ."""
+    return [(w, q, type(q)) for w, q in terms.items()]
 
 
 def seeded_compositions(rng, count, max_len, max_part):
@@ -319,7 +353,7 @@ class TestPackedCodes:
                 decoded[_decode(code)[1]] += m
             assert len(decoded) == len(codes)  # each code appears once
             assert decoded == tuple_shuffle(a, b)
-            assert dict(_shuffle_terms(a, b)) == tuple_shuffle(a, b)
+            assert dict(quasi_shuffle(a, b).terms()) == tuple_shuffle(a, b)
 
     def test_pairwise_result_is_canonical(self):
         # (1/2*[1] + [2]) * (2*[1] - [2]): the Fraction products 1/2 * 2
@@ -332,6 +366,7 @@ class TestPackedCodes:
             ((2, 2), -2), ((4,), -1), ((2, 1), h), ((1, 2), h), ((3,), h), ((1, 1), 2), ((2,), 1)
         ]
         assert [type(q) for q in acc.values()] == [int, int, Fraction, Fraction, Fraction, int, int]
+        assert typed(_mul_trie(a, b)) == typed(acc)
         rng = random.Random(31)
         for _ in range(40):
             x = random_integral_element(rng, 4) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
@@ -339,12 +374,10 @@ class TestPackedCodes:
             acc = _mul_pairwise(x, y)
             assert list(acc) == sorted(acc, key=wll_key, reverse=True)
             assert all(q and (type(q) is int or q.denominator != 1) for q in acc.values())
-            expected = Counter()
-            for (c1, q1), (c2, q2) in itertools.product(x.terms(), y.terms()):
-                for word, m in tuple_shuffle(c1, c2).items():
-                    expected[word] += q1 * q2 * m
-            assert acc == {w: q for w, q in expected.items() if q}
-            assert QSymmElement._from_dict(_mul_trie(x, y)) == QSymmElement._from_sorted(acc)
+            assert acc == tuple_product(dict(x.terms()), dict(y.terms()))
+            # the trie's result is canonical too: same order, and the same
+            # int-collapsed coefficients
+            assert typed(_mul_trie(x, y)) == typed(acc)
 
 
 class TestLeadingTerm:

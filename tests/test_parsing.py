@@ -11,6 +11,8 @@ from qsymm._sparse import _parse_terms, _scan_rational
 from qsymm.compositions import _parse_composition_at, _scan_int
 from qsymm.elements import QSymmElement, _parse_bare_composition, parse_element
 from qsymm.errors import ParseError
+from qsymm.oracle import TruncatedPolynomial
+from qsymm.symmetric import SymmPoly, plethysm_p
 from qsymm.generators import (
     UNIT_MONOMIAL,
     GeneratorPolynomial,
@@ -87,6 +89,24 @@ def test_generator_polynomial_errors_exact(bad, message, position):
 def test_generator_factor_checks_stay(bad, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_generator_polynomial(bad)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (GeneratorPolynomial.generator, ([1], True)),  # would print eTrue([1])
+        (GeneratorPolynomial.generator, ([1], 2.5)),  # would print e2.5([1])
+        (SymmPoly, ("e", {(True,): 1})),  # would print eTrue
+        (SymmPoly, ("p", {(2.0,): 1})),
+        (plethysm_p, (SymmPoly.p(1), 1.5)),  # would print p1.5
+        (TruncatedPolynomial, (2, {(1.5, 0): 1})),  # would print x1^1.5
+        (TruncatedPolynomial, (1, {(True,): 1})),
+    ],
+)
+def test_constructors_reject_non_int_indices(build, args):
+    """An index the formatters would print as text no parser reads back."""
+    with pytest.raises(ValueError):
+        build(*args)
 
 
 COMPS = [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (3,), (1, 1, 2), (2, 2)]
