@@ -236,15 +236,19 @@ class SparseTerms:
 def _format_terms(pairs: Iterable[tuple[Scalar, str]]) -> str:
     """Join (coefficient, body) pairs as `body - 2*body + 1/2*body`. A unit
     term has body "" and prints its bare magnitude; no terms print `0`."""
-    chunks = []
+    chunks: list[str] = []
+    append = chunks.append
     for q, body in pairs:
-        mag = -q if q < 0 else q
-        text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
-        chunks.append(f" - {text}" if q < 0 else f" + {text}")
+        if q < 0:
+            append(" - ")
+            q = -q
+        else:
+            append(" + ")
+        append((body if q == 1 else f"{q}*{body}") if body else str(q))
     if not chunks:
         return "0"
-    out = "".join(chunks)
-    return ("-" if out[1] == "-" else "") + out[3:]
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
 
 
 def _scan_rational(s: str, pos: int) -> tuple[Scalar, int]:

@@ -308,12 +308,42 @@ def _scan_int(s: str, pos: int, what: str = "an integer") -> tuple[int, int]:
     return int(s[pos:end]), end
 
 
+# Parsed literals are memoized by their text. Only literals of at most
+# _LITERAL_CACHE_MAX_LEN characters are cached, which bounds the cache's
+# bytes; the formatter writes a weight-12 composition in 25 or fewer.
+_LITERAL_CACHE_MAX_LEN = 64
+
+
+@lru_cache(maxsize=4096)
+def _composition_literal(text: str) -> Composition:
+    """The composition a literal `[...]` with one `]`, its last character,
+    writes. A malformed literal raises ParseError, which is not cached."""
+    return _scan_composition(text, 0)[0]
+
+
 def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
     """Parse one composition literal starting at `pos`; returns (value, end).
 
+    A short literal is looked up by its text. If it is long or does not
+    parse, `_scan_composition` scans it in `s`, so that an error keeps its
+    message and its position in `s`."""
+    n = len(s)
+    while pos < n and s[pos].isspace():
+        pos += 1
+    end = s.find("]", pos, pos + _LITERAL_CACHE_MAX_LEN) + 1
+    if end:
+        try:
+            return _composition_literal(s[pos:end]), end
+        except ParseError:
+            pass
+    return _scan_composition(s, pos)
+
+
+def _scan_composition(s: str, pos: int) -> tuple[Composition, int]:
+    """Scan one composition literal starting at `pos`; returns (value, end).
+
     Whitespace and digits are scanned inline, as `_skip_ws` and `_scan_int`
-    would scan them, with the same messages and positions: this runs once
-    per composition of every parsed element."""
+    would scan them, with the same messages and positions."""
     n = len(s)
     while pos < n and s[pos].isspace():
         pos += 1

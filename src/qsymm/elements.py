@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from ._sparse import (  # Scalar and _norm_scalar stay importable from here
     Scalar,
@@ -83,17 +84,56 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
     return tuple(acc.items())
 
 
-def _mul_pairwise(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
-    """Sum the memoized quasi-shuffles of every term pair by code; the
-    result is in canonical form."""
-    acc: dict[int, Scalar] = {}
-    get = acc.get
-    for c1, q1 in a._terms.items():
-        for c2, q2 in b._terms.items():
+# The weight tables hold every composition of weight <= 12, the set
+# `_format_cached` covers.
+_TABLE_MAX_WEIGHT = 12
+
+
+@lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
+def _weight_table(w: int) -> tuple[tuple[Composition, ...], Callable]:
+    """Every composition of weight w in canonical order, and a getter of
+    their codes' entries in a list indexed by code. The codes of weight w
+    are the odd ints from 2**w to 2**(w+1). The getter ends with index 0,
+    which no code has, so that it returns a tuple even for one code.
+
+    The compositions are `_decode`'s tuples, so that every product keys a
+    composition by the same object and dict lookups on products' terms
+    find their keys by identity, not by comparing tuples."""
+    codes = sorted(range(1 << w | 1, 2 << w, 2), key=_code_rank, reverse=True)
+    return tuple(_decode(code)[1] for code in codes), itemgetter(*codes, 0)
+
+
+def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) -> dict[Composition, Scalar]:
+    """Sum the memoized quasi-shuffles of every term pair by code, in a dict
+    that `_from_codes` decodes and sorts or, `by_table`, in a list that the
+    weight tables read in canonical order; the result is canonical."""
+    ta, tb = a._terms, b._terms
+    if not by_table:
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for c1, q1 in ta.items():
+            for c2, q2 in tb.items():
+                q12 = q1 * q2
+                for code, m in _shuffle_codes(c1, c2):
+                    acc[code] = get(code, 0) + q12 * m
+        return _from_codes(acc)
+    top = sum(next(iter(ta))) + sum(next(iter(tb)))  # the first terms are the heaviest
+    table: list[Scalar] = [0] * (2 << top)
+    for c1, q1 in ta.items():
+        for c2, q2 in tb.items():
             q12 = q1 * q2
             for code, m in _shuffle_codes(c1, c2):
-                acc[code] = get(code, 0) + q12 * m
-    return _from_codes(acc)
+                table[code] += q12 * m
+    low = sum(next(reversed(ta))) + sum(next(reversed(tb)))  # and the last the lightest
+    out: dict[Composition, Scalar] = {}
+    for w in range(top, low - 1, -1):
+        comps, get_w = _weight_table(w)
+        values = get_w(table)
+        out.update(zip(compress(comps, values), filter(None, values)))
+    for comp, q in out.items():
+        if type(q) is not int and q.denominator == 1:
+            out[comp] = q.numerator
+    return out
 
 
 def _from_codes(acc: dict[int, Scalar]) -> dict[Composition, Scalar]:
@@ -270,35 +310,39 @@ class QSymmElement(SparseTerms):
         # words, so that bound settles most products without the histograms.
         #
         # The threshold was fitted on recorded products with an earlier trie
-        # kernel. Each route timed in its own process, with this kernel
-        # (medians of 5, Python 3.11.7, 2 vCPUs); totals, per-pair only /
-        # trie only / this rule / the better route of each product:
-        #   certify, w = 1..10 (1303 products)   0.146 / 0.339 / 0.146 / 0.138 s
-        #   verify_all(7) (1439)                 0.078 / 0.138 / 0.078 / 0.057 s
-        #   9 x 9 terms, one 5-part word (561)   0.186 / 0.739 / 0.186 / 0.186 s
+        # kernel. Each route timed in its own process, with this kernel and
+        # the per-pair finish below (medians of 5, Python 3.11.7, 2 vCPUs);
+        # totals, per-pair only / trie only / this rule / the better route
+        # of each product:
+        #   certify, w = 1..10 (1303 products)   0.142 / 0.453 / 0.138 / 0.122 s
+        #   verify_all(7) (1439)                 0.094 / 0.127 / 0.093 / 0.057 s
+        #   9 x 9 terms, one 5-part word (561)   1.615 / 3.205 / 1.778 / 1.588 s
         #   lambda_i([1,1]) * lambda_j([1,1]),
-        #     i, j <= 4 (16)                     8.073 / 0.862 / 0.864 / 0.859 s
+        #     i, j <= 4 (16)                     10.48 / 0.902 / 0.930 / 0.897 s
         #   lambda_n(n, [alpha]), n <= 4,
-        #     weight(alpha) <= 4 (160)           1.784 / 0.517 / 0.569 / 0.515 s
-        #   perfbench session, seed 1 (3126)     0.344 / 1.213 / 0.344 / 0.344 s
+        #     weight(alpha) <= 4 (150)           2.103 / 0.557 / 0.604 / 0.575 s
+        #   perfbench session, seed 1 (3126)     0.286 / 1.458 / 0.294 / 0.265 s
         # Every threshold from 55295 to 142023 makes the same choices there.
         # There only lambda products reach the trie, lambda_4([1,1])**2
-        # among them: 0.59 s there against 6.7 s per-pair.
+        # among them: 0.62 s there against 8.4 s per-pair.
         #
         # The per-pair route packs compositions into codes one bit per unit
         # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
         # trie whatever its work. The first terms are the heaviest.
+        #
+        # A per-pair product of weight w <= _TABLE_MAX_WEIGHT is read back
+        # through `_weight_table` when the 2**(w-1) codes of its top weight
+        # are no more than the per-pair bound, so that reading the tables
+        # costs no more than the sum; any other is decoded and sorted.
         a, b = self._terms, other._terms
-        if (
-            not a
-            or not b
-            or sum(next(iter(a))) + sum(next(iter(b))) <= _RANK_MAX_WEIGHT
-            and (
-                len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b))) <= _TRIE_MIN_WORK
-                or _pair_work(a, b) <= _TRIE_MIN_WORK
-            )
-        ):
+        if not a or not b:
             return QSymmElement._from_sorted(_mul_pairwise(self, other))
+        top = sum(next(iter(a))) + sum(next(iter(b)))
+        if top <= _RANK_MAX_WEIGHT:
+            bound = len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b)))
+            if bound <= _TRIE_MIN_WORK or _pair_work(a, b) <= _TRIE_MIN_WORK:
+                by_table = top <= _TABLE_MAX_WEIGHT and 1 << top <= 2 * bound
+                return QSymmElement._from_sorted(_mul_pairwise(self, other, by_table))
         if hash(self) <= hash(other):  # commutative: one entry per pair
             return _trie_product(self, other)
         return _trie_product(other, self)
@@ -321,7 +365,8 @@ def quasi_shuffle(a: Iterable[int], b: Iterable[int]) -> QSymmElement:
 
 def format_element(el: QSymmElement) -> str:
     """Render in wll-descending order, e.g. `2*[1,1] + [2]`; zero is `0`."""
-    return _format_terms((q, _format_cached(comp)) for comp, q in el.terms())
+    terms = el._terms
+    return _format_terms(zip(terms.values(), map(_format_cached, terms)))
 
 
 def _parse_bare_composition(s: str, pos: int) -> tuple[Composition, int]:

@@ -126,11 +126,11 @@ class GeneratorPolynomial(SparseTerms):
         return c
 
     def __init__(self, terms: dict[GeneratorMonomial, int] | Iterable[tuple[GeneratorMonomial, int]] = ()):
-        self._init_terms(terms, check_coeff=_int_coeff)
+        self._init_terms(terms, make_monomial, _int_coeff)
 
     @classmethod
     def generator(cls, alpha: Iterable[int], n: int) -> "GeneratorPolynomial":
-        return cls({make_monomial([(composition(alpha), n)]): 1})
+        return cls._from_dict({make_monomial([(alpha, n)]): 1})
 
     def coefficient(self, m: GeneratorMonomial) -> int:
         return self._terms.get(m, 0)
@@ -594,7 +594,7 @@ def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:
             factors.extend([(composition(f["alpha"]), f["n"])] * f.get("power", 1))
         mono = make_monomial(factors)
         acc[mono] = acc.get(mono, 0) + _parse_json_coeff(entry["coeff"], _scan_int)
-    return GeneratorPolynomial(acc)
+    return GeneratorPolynomial._from_dict(acc)
 
 
 def certificate_to_json_obj(cert: FreenessCertificate) -> dict:

@@ -22,6 +22,7 @@ from qsymm.elements import (
     _pair_work,
     _shuffle_codes,
     _trie_product,
+    _weight_table,
     element_from_json_obj,
     element_to_json_obj,
     format_element,
@@ -378,6 +379,73 @@ class TestPackedCodes:
             # the trie's result is canonical too: same order, and the same
             # int-collapsed coefficients
             assert typed(_mul_trie(x, y)) == typed(acc)
+
+
+# Mixed-weight rational operands whose product weighs 12 or 13; the golden
+# corpus holds both products (product-mixed-rational-w12, -w13).
+MIXED_W6 = "[1,2,1,2] - 1/2*[2,1,3] + 3*[1,1,2] - 2/3*[2,1] + 5/4*[1]"
+MIXED_W7 = "[1,2,1,3] - 1/2*[2,1,4] + 3*[1,1,2] - 2/3*[2,1] + 5/4*[1]"
+MIXED_RIGHT = "2*[1,1,3,1] + 1/3*[3,3] - [2,1,1] + 3/2*[1,2] - 7/2"
+
+
+class TestCodeTable:
+    """The per-pair route's list accumulator, indexed by code and read back
+    through the per-weight tables, against the dict finish and the trie."""
+
+    @staticmethod
+    def operand(rng):
+        comps = [()] + nonempty_up_to(rng.choice((3, 4, 6)))
+        scale = rng.choice((1, 1, Fraction(1, 2), Fraction(2, 3)))
+        return QSymmElement({c: rng.randint(-4, 4) * scale for c in rng.sample(comps, rng.randint(1, 5))})
+
+    def test_table_matches_dict_and_trie(self):
+        rng = random.Random(37)
+        seen = Counter()
+        for _ in range(100):
+            x, y = self.operand(rng), self.operand(rng)
+            # (x + y) * (x - y): the cross terms cancel to zero
+            for a, b in ((x, y), (x + y, x - y), (x * 2, y * Fraction(1, 2))):
+                if not a or not b:
+                    continue
+                by_table = _mul_pairwise(a, b, True)
+                assert typed(by_table) == typed(_mul_pairwise(a, b, False)) == typed(_mul_trie(a, b))
+                fractional = any(type(q) is Fraction for _, q in itertools.chain(a.terms(), b.terms()))
+                seen["fraction"] += any(type(q) is Fraction for q in by_table.values())
+                # Fraction products that sum to integers, stored as int
+                seen["collapsed"] += fractional and any(type(q) is int for q in by_table.values())
+                seen["unit"] += () in by_table
+                seen["mixed"] += len({sum(c) for c in by_table}) > 1
+                seen["weight 12"] += sum(next(iter(by_table), ())) == 12
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "left, right, table",
+        [
+            # 5 x 5 terms, 4-part words: 25 * D(4, 4) = 8025 >= 2**11 codes
+            (MIXED_W6, MIXED_RIGHT, True),
+            (MIXED_W7, MIXED_RIGHT, False),  # weight 13: no table
+            ("[11]", "[1]", False),  # D(1, 1) = 3 < 2**11
+            ("[1]", "[1]", True),
+        ],
+    )
+    def test_route(self, left, right, table):
+        a, b = parse_element(left), parse_element(right)
+        _weight_table.cache_clear()
+        product = a * b
+        assert (_weight_table.cache_info().currsize > 0) == table
+        assert typed(product._terms) == typed(_mul_pairwise(a, b))
+        assert product == QSymmElement(tuple_product(dict(a.terms()), dict(b.terms())))
+
+    def test_tables_hold_every_composition_in_canonical_order(self):
+        _weight_table.cache_clear()
+        for w in range(13):
+            comps, get = _weight_table(w)
+            assert list(comps) == enumerate_compositions(w)
+            # the same objects as the dict finish's keys, so that sums of
+            # products from both finishes find their keys by identity
+            assert all(c is _decode(_encode(c))[1] for c in comps)
+            codes = list(range(2 << w))
+            assert get(codes)[:-1] == tuple(map(_encode, comps))
 
 
 class TestLeadingTerm:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -68,6 +69,27 @@ class TestMonomials:
         b = make_monomial([((1,), 1), ((1, 2), 1), ((1,), 3)])
         assert a == b
         assert a == (((1,), 1), ((1,), 3), ((1, 2), 1))
+
+
+class TestPolynomialKeys:
+    """The public constructor checks its monomials as `make_monomial` does."""
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ((((1,), 2.5),), "lambda index must be >= 1"),  # would print e2.5([1])
+            ((((2,), 1),), "[2] is not an elementary Lyndon word"),  # would print e1([2])
+        ],
+    )
+    def test_rejects_what_no_parser_reads(self, key, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeneratorPolynomial({key: 1})
+
+    def test_factor_order_is_canonicalized_and_summed(self):
+        g = GeneratorPolynomial({(((1, 2), 1), ((1,), 1)): 1, (((1,), 1), ((1, 2), 1)): 2})
+        assert g == 3 * gen((1,), 1) * gen((1, 2), 1)
+        assert list(g.terms()) == [((((1,), 1), ((1, 2), 1)), 3)]
+        assert str(g) == "3*e1([1])*e1([1,2])"
 
 
 class TestExpand:

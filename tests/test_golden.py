@@ -7,8 +7,9 @@ weights 1-6 in both generator families, `verify-all --max-weight 4 --json`
 (which holds the oracle at four variables), text and JSON forms with
 rational and negative coefficients, products of 9-term elements on both
 sides of the per-pair/trie route choice, products on both sides of the
-weight-256 bound of the per-pair route and far above it, and malformed
-literals.
+weight-256 bound of the per-pair route and far above it, mixed-weight
+rational products of weight 12 and 13 (either side of the per-pair route's
+code tables), and malformed literals.
 """
 
 import hashlib

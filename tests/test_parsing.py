@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qsymm._sparse import _parse_terms, _scan_rational
-from qsymm.compositions import _parse_composition_at, _scan_int
+from qsymm.compositions import _composition_literal, _parse_composition_at, _scan_int, parse_composition
 from qsymm.elements import QSymmElement, _parse_bare_composition, parse_element
 from qsymm.errors import ParseError
 from qsymm.oracle import TruncatedPolynomial
@@ -198,3 +198,38 @@ def test_generator_parse_matches_public_constructor():
         assert parse_generator_polynomial(format_generator_polynomial(g)) == g
         cancelled += any(q == 0 for q in summed.values())
     assert cancelled >= 5
+
+
+# Malformed first literals with a `]` further on: the literal cache reads
+# up to that `]` and fails, and the scanner reports the error where it is.
+CACHED_LITERAL_ERRORS = [
+    ("[1,2 + [3]", "expected ',' or ']'", 5),
+    ("[1,,2] + [3]", "expected a positive integer part", 3),
+    ("[0] + [1]", "parts must be >= 1", 1),
+    ("[\u0663] + [1]", "expected a positive integer part", 1),
+]
+
+
+@pytest.mark.parametrize("bad, message, position", CACHED_LITERAL_ERRORS)
+def test_literal_cache_keeps_scanner_errors(bad, message, position):
+    _composition_literal.cache_clear()
+    assert raised(parse_element, bad) == (f"{message} (at position {position})", position)
+    assert _composition_literal.cache_info().currsize == 0  # no error is cached
+    assert raised(parse_element, bad) == (f"{message} (at position {position})", position)
+
+
+def test_literal_cache_reads_spaced_literals():
+    spaced = parse_element("[ 1 , 2 ]")
+    assert spaced == parse_element("[1,2]")
+    assert str(spaced) == "[1,2]"
+    assert parse_composition(" [ 1 , 2 ] ") == (1, 2)
+    assert parse_element("2*[ 1 , 2 ] - [1,2]") == spaced
+
+
+def test_long_literals_are_scanned_not_cached():
+    _composition_literal.cache_clear()
+    ones = "[" + ",".join(["1"] * 40) + "]"
+    assert parse_element(ones) == QSymmElement({(1,) * 40: 1})
+    assert _composition_literal.cache_info().currsize == 0
+    assert parse_element("[1]") == QSymmElement({(1,): 1})
+    assert _composition_literal.cache_info().currsize == 1
