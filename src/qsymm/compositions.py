@@ -19,6 +19,7 @@ term of its lambda powers, which is what the generator machinery relies on.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -308,34 +309,19 @@ def _scan_int(s: str, pos: int, what: str = "an integer") -> tuple[int, int]:
     return int(s[pos:end]), end
 
 
-# Parsed literals are memoized by their text. Only literals of at most
-# _LITERAL_CACHE_MAX_LEN characters are cached, which bounds the cache's
-# bytes; the formatter writes a weight-12 composition in 25 or fewer.
-_LITERAL_CACHE_MAX_LEN = 64
-
-
-@lru_cache(maxsize=4096)
-def _composition_literal(text: str) -> Composition:
-    """The composition a literal `[...]` with one `]`, its last character,
-    writes. A malformed literal raises ParseError, which is not cached."""
-    return _scan_composition(text, 0)[0]
+# A literal as the formatter writes it: parts with no sign, space or
+# leading zero, joined by single commas.
+_PLAIN_LITERAL = re.compile(r"\[([1-9][0-9]*(?:,[1-9][0-9]*)*)\]")
 
 
 def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
     """Parse one composition literal starting at `pos`; returns (value, end).
 
-    A short literal is looked up by its text. If it is long or does not
-    parse, `_scan_composition` scans it in `s`, so that an error keeps its
-    message and its position in `s`."""
-    n = len(s)
-    while pos < n and s[pos].isspace():
-        pos += 1
-    end = s.find("]", pos, pos + _LITERAL_CACHE_MAX_LEN) + 1
-    if end:
-        try:
-            return _composition_literal(s[pos:end]), end
-        except ParseError:
-            pass
+    A plain literal is split at its commas. `_scan_composition` scans any
+    other, so that an error keeps its message and position."""
+    m = _PLAIN_LITERAL.match(s, pos)
+    if m:
+        return tuple(map(int, m[1].split(","))), m.end()
     return _scan_composition(s, pos)
 
 

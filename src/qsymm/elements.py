@@ -91,42 +91,43 @@ _TABLE_MAX_WEIGHT = 12
 
 @lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
 def _weight_table(w: int) -> tuple[tuple[Composition, ...], Callable]:
-    """Every composition of weight w in canonical order, and a getter of
-    their codes' entries in a list indexed by code. The codes of weight w
-    are the odd ints from 2**w to 2**(w+1). The getter ends with index 0,
-    which no code has, so that it returns a tuple even for one code.
-
-    The compositions are `_decode`'s tuples, so that every product keys a
-    composition by the same object and dict lookups on products' terms
-    find their keys by identity, not by comparing tuples."""
+    """Every composition of weight w in canonical order, as `_decode`'s
+    tuples so that products key each by one object and dict lookups match
+    by identity, and a getter of their entries in a list indexed by code
+    (the odd ints from 2**w to 2**(w+1)). The getter also reads index 0,
+    which no code has, so that it returns a tuple even for one code."""
     codes = sorted(range(1 << w | 1, 2 << w, 2), key=_code_rank, reverse=True)
     return tuple(_decode(code)[1] for code in codes), itemgetter(*codes, 0)
 
 
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) -> dict[Composition, Scalar]:
-    """Sum the memoized quasi-shuffles of every term pair by code, in a dict
-    that `_from_codes` decodes and sorts or, `by_table`, in a list that the
-    weight tables read in canonical order; the result is canonical."""
-    ta, tb = a._terms, b._terms
-    if not by_table:
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        for c1, q1 in ta.items():
-            for c2, q2 in tb.items():
-                q12 = q1 * q2
-                for code, m in _shuffle_codes(c1, c2):
-                    acc[code] = get(code, 0) + q12 * m
-        return _from_codes(acc)
-    top = sum(next(iter(ta))) + sum(next(iter(tb)))  # the first terms are the heaviest
+    """Sum the memoized quasi-shuffles of every term pair by code; the
+    result is in canonical form. `by_table`, sum in `_mul_by_table`."""
+    if by_table:
+        return _mul_by_table(a._terms, b._terms)
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for c1, q1 in a._terms.items():
+        for c2, q2 in b._terms.items():
+            q12 = q1 * q2
+            for code, m in _shuffle_codes(c1, c2):
+                acc[code] = get(code, 0) + q12 * m
+    return _from_codes(acc)
+
+
+def _mul_by_table(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) -> dict[Composition, Scalar]:
+    """`_mul_pairwise` summed in a list indexed by code and read back in
+    canonical order through the weight tables, from the weight of the two
+    first (heaviest) terms to that of the two last."""
+    top = sum(next(iter(ta))) + sum(next(iter(tb)))
     table: list[Scalar] = [0] * (2 << top)
     for c1, q1 in ta.items():
         for c2, q2 in tb.items():
             q12 = q1 * q2
             for code, m in _shuffle_codes(c1, c2):
                 table[code] += q12 * m
-    low = sum(next(reversed(ta))) + sum(next(reversed(tb)))  # and the last the lightest
     out: dict[Composition, Scalar] = {}
-    for w in range(top, low - 1, -1):
+    for w in range(top, sum(next(reversed(ta))) + sum(next(reversed(tb))) - 1, -1):
         comps, get_w = _weight_table(w)
         values = get_w(table)
         out.update(zip(compress(comps, values), filter(None, values)))
@@ -311,29 +312,38 @@ class QSymmElement(SparseTerms):
         #
         # The threshold was fitted on recorded products with an earlier trie
         # kernel. Each route timed in its own process, with this kernel and
-        # the per-pair finish below (medians of 5, Python 3.11.7, 2 vCPUs);
-        # totals, per-pair only / trie only / this rule / the better route
+        # the per-pair finish below, in turn with the commit before that
+        # finish (medians of 5, Python 3.11.7, 2 vCPUs). Single runs spread
+        # by up to a third; within that, both commits read the same on every
+        # row but certify and session, where the per-pair route got faster.
+        # Totals, per-pair only / trie only / this rule / the better route
         # of each product:
-        #   certify, w = 1..10 (1303 products)   0.142 / 0.453 / 0.138 / 0.122 s
-        #   verify_all(7) (1439)                 0.094 / 0.127 / 0.093 / 0.057 s
-        #   9 x 9 terms, one 5-part word (561)   1.615 / 3.205 / 1.778 / 1.588 s
+        #   certify, w = 1..10 (1303 products)   0.130 / 0.427 / 0.133 / 0.119 s
+        #   verify_all(7) (1439)                 0.076 / 0.119 / 0.093 / 0.052 s
+        #   9 x 9 terms, one 5-part word (561)   1.316 / 2.697 / 1.377 / 1.272 s
         #   lambda_i([1,1]) * lambda_j([1,1]),
-        #     i, j <= 4 (16)                     10.48 / 0.902 / 0.930 / 0.897 s
+        #     i, j <= 4 (16)                     8.648 / 0.663 / 0.889 / 0.671 s
         #   lambda_n(n, [alpha]), n <= 4,
-        #     weight(alpha) <= 4 (150)           2.103 / 0.557 / 0.604 / 0.575 s
-        #   perfbench session, seed 1 (3126)     0.286 / 1.458 / 0.294 / 0.265 s
+        #     weight(alpha) <= 4 (150)           1.766 / 0.639 / 0.605 / 0.625 s
+        #   perfbench session, seed 1 (3126)     0.276 / 1.382 / 0.274 / 0.259 s
         # Every threshold from 55295 to 142023 makes the same choices there.
         # There only lambda products reach the trie, lambda_4([1,1])**2
-        # among them: 0.62 s there against 8.4 s per-pair.
+        # among them: 0.70 s there against 8.7 s per-pair.
         #
         # The per-pair route packs compositions into codes one bit per unit
         # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
         # trie whatever its work. The first terms are the heaviest.
         #
-        # A per-pair product of weight w <= _TABLE_MAX_WEIGHT is read back
-        # through `_weight_table` when the 2**(w-1) codes of its top weight
-        # are no more than the per-pair bound, so that reading the tables
-        # costs no more than the sum; any other is decoded and sorted.
+        # A per-pair product of weight w <= _TABLE_MAX_WEIGHT sums in a list
+        # read back through `_weight_table` when the 2**(w-1) codes of its
+        # top weight are at most twice the per-pair bound; any other is
+        # decoded and sorted. Both finishes timed warm on the per-pair
+        # products above (best of 3); dict only / table only / this cut /
+        # the better finish of each product:
+        #   certify 96.2 / 73.5 / 58.9 / 58.1 ms, verify_all(7) 34.7 / 31.7 /
+        #   23.0 / 22.7 ms, session 369.9 / 247.9 / 241.0 / 239.6 ms.
+        # Cuts at 1x and 3-4x the bound read within 4 %; counting the whole
+        # list, 2**(w+1) <= bound, up to 9 % slower.
         a, b = self._terms, other._terms
         if not a or not b:
             return QSymmElement._from_sorted(_mul_pairwise(self, other))

@@ -16,9 +16,6 @@ import qsymm
 # Worst-case footprints are noted for the memos that have one, measured
 # with tracemalloc on Python 3.11.
 MEMOS = {
-    # literals of at most 64 characters: 2.6 MiB full (0.7 MiB holding every
-    # composition of weight <= 12)
-    "qsymm.compositions._composition_literal": 4096,
     "qsymm.compositions._format_cached": 4096,
     "qsymm.compositions._wll_rank": 1 << 16,
     "qsymm.elements._decode": 1 << 16,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qsymm._sparse import _parse_terms, _scan_rational
-from qsymm.compositions import _composition_literal, _parse_composition_at, _scan_int, parse_composition
+from qsymm.compositions import _parse_composition_at, _scan_composition, _scan_int, parse_composition
 from qsymm.elements import QSymmElement, _parse_bare_composition, parse_element
 from qsymm.errors import ParseError
 from qsymm.oracle import TruncatedPolynomial
@@ -200,9 +200,9 @@ def test_generator_parse_matches_public_constructor():
     assert cancelled >= 5
 
 
-# Malformed first literals with a `]` further on: the literal cache reads
-# up to that `]` and fails, and the scanner reports the error where it is.
-CACHED_LITERAL_ERRORS = [
+# Malformed first literals with a `]` further on: the plain-literal match
+# fails, and the scanner reports the error where it is.
+PLAIN_LITERAL_ERRORS = [
     ("[1,2 + [3]", "expected ',' or ']'", 5),
     ("[1,,2] + [3]", "expected a positive integer part", 3),
     ("[0] + [1]", "parts must be >= 1", 1),
@@ -210,15 +210,12 @@ CACHED_LITERAL_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("bad, message, position", CACHED_LITERAL_ERRORS)
-def test_literal_cache_keeps_scanner_errors(bad, message, position):
-    _composition_literal.cache_clear()
-    assert raised(parse_element, bad) == (f"{message} (at position {position})", position)
-    assert _composition_literal.cache_info().currsize == 0  # no error is cached
+@pytest.mark.parametrize("bad, message, position", PLAIN_LITERAL_ERRORS)
+def test_plain_literal_match_keeps_scanner_errors(bad, message, position):
     assert raised(parse_element, bad) == (f"{message} (at position {position})", position)
 
 
-def test_literal_cache_reads_spaced_literals():
+def test_spaced_literals():
     spaced = parse_element("[ 1 , 2 ]")
     assert spaced == parse_element("[1,2]")
     assert str(spaced) == "[1,2]"
@@ -226,10 +223,15 @@ def test_literal_cache_reads_spaced_literals():
     assert parse_element("2*[ 1 , 2 ] - [1,2]") == spaced
 
 
-def test_long_literals_are_scanned_not_cached():
-    _composition_literal.cache_clear()
-    ones = "[" + ",".join(["1"] * 40) + "]"
-    assert parse_element(ones) == QSymmElement({(1,) * 40: 1})
-    assert _composition_literal.cache_info().currsize == 0
-    assert parse_element("[1]") == QSymmElement({(1,): 1})
-    assert _composition_literal.cache_info().currsize == 1
+@pytest.mark.parametrize("text", [
+    "[1]", "[12,3,1]", "[]", "[ ]", "[01]", "[1,02]", "[10,100]", "[ 2]", "[2 ]", "[1, 2]",
+    "[+1]", "[1_0]", "[-1]", "[1,]", "[,1]", "[00]", "[1,0]", "[\u00b2]", "[1", "[1]]", "x[1]",
+    "[" + ",".join(["1"] * 40) + "]",
+])
+def test_plain_literal_match_agrees_with_scanner(text):
+    def result(parse):
+        try:
+            return parse(text + " + [3]", 0)
+        except ParseError as e:
+            return str(e), e.position
+    assert result(_parse_composition_at) == result(_scan_composition)
