@@ -25,8 +25,11 @@ be +1 or -1.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterable
 
 from ._sparse import (
@@ -54,7 +57,7 @@ from .compositions import (
     weight,
     wll_key,
 )
-from .elements import QSymmElement
+from .elements import QSymmElement, _weight_table
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
 from .symmetric import E_BASIS, SymmPoly, e_compose_p, _p_in_e
@@ -89,6 +92,7 @@ def monomial_weight(m: GeneratorMonomial) -> int:
     return sum(n * weight(alpha) for alpha, n in m)
 
 
+@lru_cache(maxsize=4096)
 def _monomial_sort_key(m: GeneratorMonomial) -> tuple:
     return tuple(_factor_key(f) for f in m)
 
@@ -140,10 +144,18 @@ class GeneratorPolynomial(SparseTerms):
 
     def expand(self) -> QSymmElement:
         """Multiply the generators out in the quasi-shuffle algebra."""
-        acc: dict[Composition, int] = {}
-        for mono, c in self._terms.items():
-            _iadd_scaled(acc, _expand_monomial(mono)._terms, c)
-        return QSymmElement._from_dict(acc)
+        packed = _packed_sum(self._terms.items(), _expansion_vector, _COMPOSITIONS)
+        if packed is None:
+            return _expand_by_dict(self)
+        # weights descending, each in canonical order: the element's order
+        return QSymmElement._from_sorted(packed[0])
+
+
+def _expand_by_dict(g: GeneratorPolynomial) -> QSymmElement:
+    acc: dict[Composition, int] = {}
+    for mono, c in g._terms.items():
+        _iadd_scaled(acc, _expand_monomial(mono)._terms, c)
+    return QSymmElement._from_dict(acc)
 
 
 def expand(g: GeneratorPolynomial) -> QSymmElement:
@@ -214,10 +226,107 @@ def express_element(a: QSymmElement) -> GeneratorPolynomial:
     """Linear extension of `express` to integral elements."""
     if not a.is_integral():
         raise ValueError("express_element needs an integral element")
+    # one `express` call per term, which the benchmark's tracer counts
+    gens = [(express(comp) if comp else _UNIT, q) for comp, q in a.terms()]
+    packed = _packed_sum(gens, _polynomial_vector, _MONOMIALS)
+    if packed is None:
+        return _express_by_dict(gens)
+    terms, weights = packed
+    # monomial order is not weight-first: e1([1,2]) precedes e1([1])^4
+    return GeneratorPolynomial._from_sorted(terms) if weights < 2 else GeneratorPolynomial._from_dict(terms)
+
+
+def _express_by_dict(gens: Iterable[tuple[GeneratorPolynomial, int]]) -> GeneratorPolynomial:
     acc: dict[GeneratorMonomial, int] = {}
-    for comp, q in a.terms():
-        _iadd_scaled(acc, express(comp)._terms if comp else {UNIT_MONOMIAL: 1}, q)
+    for g, q in gens:
+        _iadd_scaled(acc, g._terms, q)
     return GeneratorPolynomial._from_dict(acc)
+
+
+# -- packed weight vectors ----------------------------------------------------
+# At weight w <= _PACK_MAX_WEIGHT a vector in either basis, the 2**(w-1)
+# compositions or the 2**(w-1) generator monomials of weight w, is one int
+# whose slots, one per key in canonical order, are signed _SLOT_BITS-bit
+# fields: Kronecker substitution, as the oracle packs exponent vectors. A
+# linear combination of such vectors is one big-int multiply-add per term,
+# run in C, and each weight's sum is decoded once, straight into canonical
+# order. Each vector keeps its largest |coefficient| q, so a sum knows the
+# bound sum |c| * q on every slot; a sum over any heavier weight, or with a
+# bound that reaches 2**(_SLOT_BITS-1), takes the dict loops instead.
+
+_SLOT_BITS = 64
+_SLOT_LIMIT = 1 << (_SLOT_BITS - 1)
+# slots are read and written through array("q"); no packing without it
+_PACK_MAX_WEIGHT = 12 if array("q").itemsize * 8 == _SLOT_BITS else -1
+_COMPOSITIONS, _MONOMIALS = 0, 1  # the bases, as `_slot_table` holds them
+_UNIT = GeneratorPolynomial._from_sorted({UNIT_MONOMIAL: 1})
+
+
+@lru_cache(maxsize=_PACK_MAX_WEIGHT + 1)
+def _slot_table(w: int) -> tuple[int, tuple[dict[Composition, int], dict[GeneratorMonomial, int]]]:
+    """The bias 2**(_SLOT_BITS-1) in every slot of weight w, and each
+    basis's {key: slot}, keys in canonical order."""
+    comps = _weight_table(w)[0]
+    monos = enumerate_generator_monomials(w) if w else [UNIT_MONOMIAL]
+    bias = int.from_bytes(_SLOT_LIMIT.to_bytes(_SLOT_BITS // 8, sys.byteorder) * len(comps), sys.byteorder)
+    return bias, ({c: i for i, c in enumerate(comps)}, {m: i for i, m in enumerate(monos)})
+
+
+def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
+    """(weight, packed vector or None where it cannot hold the nonzero
+    weight-w terms, largest |coefficient|), built in O(slots): an array's
+    two's-complement digits, read as one int, made signed by the bias."""
+    top = max(map(abs, terms.values()))
+    if w > _PACK_MAX_WEIGHT or top >= _SLOT_LIMIT:
+        return w, None, top
+    bias, bases = _slot_table(w)
+    slots = bases[basis]
+    vals = array("q", bytes(len(slots) * _SLOT_BITS // 8))
+    for key, q in terms.items():
+        vals[slots[key]] = q
+    return w, (int.from_bytes(vals, sys.byteorder) ^ bias) - bias, top
+
+
+@lru_cache(maxsize=4096)
+def _expansion_vector(m: GeneratorMonomial) -> tuple[int, int | None, int]:
+    """`_pack` of a generator monomial's expansion."""
+    return _pack(_expand_monomial(m)._terms, monomial_weight(m), _COMPOSITIONS)
+
+
+@lru_cache(maxsize=4096)
+def _polynomial_vector(g: GeneratorPolynomial) -> tuple[int, int | None, int]:
+    """`_pack` of a nonzero homogeneous generator polynomial, such as
+    `express(beta)`."""
+    return _pack(g._terms, monomial_weight(next(iter(g._terms))), _MONOMIALS)
+
+
+def _packed_sum(pairs: Iterable[tuple], vector: Callable, basis: int) -> tuple[dict, int] | None:
+    """The sum of c * vector(key) over the (key, c) pairs as (terms with
+    weights descending, each weight in canonical order; the number of
+    weights), or None where the packed vectors cannot hold it."""
+    sums: dict[int, list[int]] = {}
+    for key, c in pairs:
+        w, vec, top = vector(key)
+        if vec is None:
+            return None
+        s = sums.get(w)
+        if s is None:
+            sums[w] = [c * vec, abs(c) * top]
+        else:
+            s[0] += c * vec
+            s[1] += abs(c) * top
+    out: dict = {}
+    for w in sorted(sums, reverse=True):
+        total, bound = sums[w]
+        if bound >= _SLOT_LIMIT:
+            return None
+        bias, bases = _slot_table(w)
+        keys = bases[basis]
+        # the biased sum has every digit in [0, 2**_SLOT_BITS); flipping each
+        # digit's top bit leaves its two's complement, which array("q") reads
+        vals = array("q", ((total + bias) ^ bias).to_bytes(len(keys) * _SLOT_BITS // 8, sys.byteorder))
+        out.update(zip(compress(keys, vals), filter(None, vals)))
+    return out, len(sums)
 
 
 def enumerate_generator_monomials(w: int) -> list[GeneratorMonomial]:
@@ -245,7 +354,7 @@ def enumerate_generator_monomials(w: int) -> list[GeneratorMonomial]:
                 acc.pop()
 
     pick(0, w, [])
-    found.sort(key=_monomial_sort_key, reverse=True)
+    found.sort(key=_monomial_sort_key.__wrapped__, reverse=True)  # one-off: spare the memo
     return found
 
 
@@ -586,12 +695,16 @@ def generator_polynomial_to_json_obj(g: GeneratorPolynomial) -> list[dict]:
 
 def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:
     """Inverse of `generator_polynomial_to_json_obj`; a coefficient must be a
-    decimal integer string with an optional leading `-`."""
+    decimal integer string with an optional leading `-`, and a power an int
+    >= 1, as the text form's `^` takes."""
     acc: dict[GeneratorMonomial, int] = {}
     for entry in obj:
         factors: list[Factor] = []
         for f in entry["factors"]:
-            factors.extend([(composition(f["alpha"]), f["n"])] * f.get("power", 1))
+            power = f.get("power", 1)
+            if type(power) is not int or power < 1:
+                raise ValueError(f"factor power must be an int >= 1, got {power!r}")
+            factors.extend([(composition(f["alpha"]), f["n"])] * power)
         mono = make_monomial(factors)
         acc[mono] = acc.get(mono, 0) + _parse_json_coeff(entry["coeff"], _scan_int)
     return GeneratorPolynomial._from_dict(acc)

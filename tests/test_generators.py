@@ -14,8 +14,17 @@ from qsymm.compositions import (
 from qsymm.elements import QSymmElement
 from qsymm.errors import ParseError
 from qsymm.generators import (
+    _COMPOSITIONS,
+    _MONOMIALS,
+    _UNIT,
     GeneratorPolynomial,
     _det_unit_pivot,
+    _expand_by_dict,
+    _expansion_vector,
+    _express_by_dict,
+    _pack,
+    _packed_sum,
+    _polynomial_vector,
     certificate_to_json_obj,
     det_bareiss,
     enumerate_generator_monomials,
@@ -129,8 +138,8 @@ class TestExpress:
         for alpha in enumerate_elementary_lyndon(5):
             assert express(alpha) == gen(alpha, 1)
 
-    def test_round_trip_through_weight_seven(self):
-        for w in range(1, 8):
+    def test_round_trip_through_weight_nine(self):
+        for w in range(1, 10):
             for beta in enumerate_compositions(w):
                 assert expand(express(beta)) == QSymmElement.monomial(beta), beta
 
@@ -173,6 +182,103 @@ class TestExpressElement:
             chosen = rng.sample(comps, rng.randint(1, 6))
             el = QSymmElement({c: rng.randint(-9, 9) for c in chosen})
             assert expand(express_element(el)) == el
+
+
+def typed(terms):
+    return [(key, q, type(q)) for key, q in terms]
+
+
+class TestPackedVectors:
+    """The packed sums of `expand` and `express_element` against the dict
+    loops they fall back to, term for term, in order and with int
+    coefficients."""
+
+    @staticmethod
+    def packs(g):
+        return _packed_sum(g.terms(), _expansion_vector, _COMPOSITIONS) is not None
+
+    @staticmethod
+    def polynomial(rng, weights, size):
+        monos = [m for w in weights for m in (enumerate_generator_monomials(w) if w else [()])]
+        chosen = rng.sample(monos, min(size, len(monos)))
+        return GeneratorPolynomial({m: rng.choice((-1, 1)) * rng.randint(1, 99) for m in chosen})
+
+    def test_expand_matches_dict(self):
+        rng = random.Random(41)
+        seen = {"mixed": 0, "heaviest not first": 0, "unit": 0}
+        for _ in range(200):
+            g = self.polynomial(rng, rng.sample(range(7), rng.randint(1, 3)), rng.randint(1, 6))
+            assert self.packs(g)
+            assert typed(g.expand().terms()) == typed(_expand_by_dict(g).terms())
+            weights = [monomial_weight(m) for m, _ in g.terms()]
+            seen["mixed"] += len(set(weights)) > 1
+            seen["heaviest not first"] += weights[0] < max(weights)
+            seen["unit"] += 0 in weights
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize(
+        "text, packed",
+        [
+            ("0", True),
+            ("1", True),
+            ("e1([1,2]) + e1([1])^4", True),  # the heavier monomial second
+            ("3*e1([1,1,1,1,1,1,1,1,1,1,2]) - e1([1])^3*e3([1,2]) + e12([1]) - 2", True),
+            ("e1([1,1,1,1,1,1,1,1,1,1,1,2]) + e1([1])", False),  # weight 13
+            ("9223372036854775807*e2([1]) - 9223372036854775807*e1([1,2])", True),
+            ("9223372036854775808*e2([1])", False),  # bound 2**63
+            # e1([1])^2 expands to 2*[1,1] + [2]: bounds 2**63 + 1 and 2**63 - 1
+            ("4611686018427387904*e1([1])^2 - e3([1])", False),
+            ("4611686018427387903*e1([1])^2 - e3([1])", True),
+        ],
+    )
+    def test_expand_route(self, text, packed):
+        g = parse_generator_polynomial(text)
+        assert self.packs(g) == packed
+        assert typed(g.expand().terms()) == typed(_expand_by_dict(g).terms())
+
+    def test_express_element_matches_dict(self):
+        rng = random.Random(43)
+        comps = [()] + nonempty_up_to(6)
+        seen = {"mixed": 0, "unit": 0}
+        for _ in range(150):
+            el = QSymmElement({c: rng.randint(-9, 9) for c in rng.sample(comps, rng.randint(1, 8))})
+            gens = [(express(c) if c else _UNIT, q) for c, q in el.terms()]
+            assert _packed_sum(gens, _polynomial_vector, _MONOMIALS) is not None
+            g = express_element(el)
+            assert typed(g.terms()) == typed(_express_by_dict(gens).terms())
+            assert expand(g) == el
+            seen["mixed"] += len({sum(c) for c, _ in el.terms()}) > 1
+            seen["unit"] += () in dict(el.terms())
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "terms, packed",
+        [
+            ({(1,) * 10 + (2,): 3, (1, 1): -1, (): 2}, True),  # weight 12
+            ({(1,) * 11 + (2,): 1, (): 2}, False),  # weight 13
+            ({(1,): 2**63 - 1, (2,): 1}, True),
+            ({(1,): 2**63, (2,): 1}, False),  # bound 2**63
+        ],
+    )
+    def test_express_element_route(self, terms, packed):
+        el = QSymmElement(terms)
+        gens = [(express(c) if c else _UNIT, q) for c, q in el.terms()]
+        assert (_packed_sum(gens, _polynomial_vector, _MONOMIALS) is not None) == packed
+        g = express_element(el)
+        assert typed(g.terms()) == typed(_express_by_dict(gens).terms())
+        assert expand(g) == el
+
+    @pytest.mark.parametrize("basis", [_COMPOSITIONS, _MONOMIALS])
+    def test_pack_round_trip_at_slot_limits(self, basis):
+        keys = list(enumerate_compositions(4) if basis == _COMPOSITIONS else enumerate_generator_monomials(4))
+        big = 2**63 - 1
+        terms = {keys[0]: -big, keys[3]: big, keys[4]: -1, keys[-1]: big}
+        packed = _pack(terms, 4, basis)
+        assert packed[2] == big
+        out, weights = _packed_sum([(None, 1)], lambda _: packed, basis)
+        assert weights == 1
+        assert typed(out.items()) == typed(terms.items())
+        assert _pack({keys[1]: 2**63}, 4, basis) == (4, None, 2**63)
 
 
 class TestEnumeration:
@@ -414,6 +520,16 @@ class TestTextAndJson:
     def test_parse_rejects_non_ascii_digits(self, bad):
         with pytest.raises(ParseError):
             parse_generator_polynomial(bad)
+
+    @pytest.mark.parametrize("power", [0, -1, True, False, 2.0, "2", None])
+    def test_json_rejects_powers_the_formatter_never_writes(self, power):
+        obj = [{"factors": [{"alpha": [1], "n": 1, "power": power}], "coeff": "1"}]
+        with pytest.raises(ValueError, match="factor power"):
+            generator_polynomial_from_json_obj(obj)
+
+    def test_json_power_defaults_to_one(self):
+        obj = [{"factors": [{"alpha": [1], "n": 1}], "coeff": "1"}]
+        assert generator_polynomial_from_json_obj(obj) == gen((1,), 1)
 
     def test_json_round_trip(self):
         for beta in nonempty_up_to(5):

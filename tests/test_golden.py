@@ -9,7 +9,9 @@ rational and negative coefficients, products of 9-term elements on both
 sides of the per-pair/trie route choice, products on both sides of the
 weight-256 bound of the per-pair route and far above it, mixed-weight
 rational products of weight 12 and 13 (either side of the per-pair route's
-code tables), and malformed literals.
+code tables), an expansion whose coefficients overflow the packed weight
+vectors' 64-bit slots, the JSON `express` of a weight-10 composition, and
+malformed literals.
 """
 
 import hashlib

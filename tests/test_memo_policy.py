@@ -26,8 +26,18 @@ MEMOS = {
     # the `_decode` entries whose tuples the tables share
     "qsymm.elements._weight_table": 13,
     "qsymm.generators._expand_monomial": None,
+    # one packed vector per key of weight <= 12: 38.9 MiB full, the
+    # vectors alone (their expansions are `_expand_monomial`'s)
+    "qsymm.generators._expansion_vector": 4096,
     "qsymm.generators._express": None,
+    # every monomial of weight <= 12: 1.3 MiB full
+    "qsymm.generators._monomial_sort_key": 4096,
+    # one packed vector per `express` result of weight <= 12: 37.7 MiB full
+    "qsymm.generators._polynomial_vector": 4096,
     "qsymm.generators._product_gens_up_to": None,
+    # one table per weight 0-12, both bases: 0.8 MiB full, counting the
+    # monomials it enumerates
+    "qsymm.generators._slot_table": 13,
     "qsymm.generators.freeness_certificate": None,
     "qsymm.lambda_ops._series_box": 4096,
     "qsymm.oracle._packed_expansion": 4096,
