@@ -51,15 +51,13 @@ from .symmetric import e_compose_p, format_symm, plethysm_compat_check
 
 
 def _write(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _dump_json(obj) -> str:
@@ -380,10 +378,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, IntegralityError) as exc:

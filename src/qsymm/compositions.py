@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .errors import ParseError
 
@@ -127,6 +128,38 @@ def _wll_rank(c: Composition) -> "int | _HeavyRank":
     return _code_rank(_encode(c))
 
 
+@lru_cache(maxsize=1 << 16)
+def _decode(code: int) -> tuple[int, Composition, int]:
+    """(wll rank, composition, code) of a code; the composition's part ends
+    are the set bits below the sentinel."""
+    comp = tuple(len(run) + 1 for run in bin(code)[3:].split("1")[:-1])
+    return _code_rank(code), comp, code
+
+
+# The weight tables hold the _TABLE_KEYS compositions of weight <= 12; as
+# many generator monomials have those weights, and caches of either fit.
+_TABLE_MAX_WEIGHT = 12
+_TABLE_KEYS = 1 << _TABLE_MAX_WEIGHT
+
+
+@lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
+def _weight_table(w: int) -> tuple[tuple[Composition, ...], dict[Composition, int], Callable]:
+    """Every composition of weight w in canonical order, as `_decode`'s
+    tuples so that products key each by one object and dict lookups match
+    by identity; their {composition: index}; and a getter of their entries
+    in a list indexed by code (the odd ints from 2**w to 2**(w+1)), which
+    also reads index 0, no code, to return a tuple even for one code."""
+    decode = _decode if w <= _TABLE_MAX_WEIGHT else _decode.__wrapped__  # spare the memo
+    codes = sorted(range(1 << w | 1, 2 << w, 2), key=_code_rank, reverse=True)
+    comps = tuple(decode(code)[1] for code in codes)
+    return comps, {c: i for i, c in enumerate(comps)}, itemgetter(*codes, 0)
+
+
+def _table(w: int) -> tuple[tuple[Composition, ...], dict[Composition, int], Callable]:
+    """`_weight_table(w)` for any w >= 0, built afresh above _TABLE_MAX_WEIGHT."""
+    return _weight_table(w) if w <= _TABLE_MAX_WEIGHT else _weight_table.__wrapped__(w)
+
+
 def wll_compare(a: Composition, b: Composition) -> int:
     """Weight-first, then length, then lex; returns -1, 0 or +1.
 
@@ -220,15 +253,6 @@ def cfl_factorize(c: Composition) -> list[tuple[Composition, int]]:
     return grouped
 
 
-def _compositions_of(w: int) -> Iterator[Composition]:
-    if w == 0:
-        yield ()
-        return
-    for first in range(1, w + 1):
-        for rest in _compositions_of(w - first):
-            yield (first,) + rest
-
-
 def enumerate_compositions(w: int) -> list[Composition]:
     """All compositions of weight `w`, sorted wll-descending.
 
@@ -237,7 +261,7 @@ def enumerate_compositions(w: int) -> list[Composition]:
     """
     if w < 0:
         raise ValueError("weight must be nonnegative")
-    return sorted(_compositions_of(w), key=wll_key, reverse=True)
+    return list(_table(w)[0])
 
 
 def enumerate_elementary_lyndon(max_weight: int) -> list[Composition]:
@@ -249,21 +273,17 @@ def enumerate_elementary_lyndon(max_weight: int) -> list[Composition]:
     """
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    found = [
+    return [
         c
         for w in range(1, max_weight + 1)
-        for c in _compositions_of(w)
+        for c in reversed(_table(w)[0])
         if is_lyndon(c) and content_gcd(c) == 1
     ]
-    return sorted(found, key=wll_key)
 
 
 # Rendered compositions are memoized like the package's other tables, in an
-# lru_cache; 4096 entries hold every composition of weight <= 12.
-_FORMAT_CACHE_CAP = 4096
-
-
-@lru_cache(maxsize=_FORMAT_CACHE_CAP)
+# lru_cache that holds every composition of weight <= _TABLE_MAX_WEIGHT.
+@lru_cache(maxsize=_TABLE_KEYS)
 def _format_cached(c: Composition) -> str:
     # Equal tuples share an entry, and `(True, 2) == (1, 2)`: `int.__repr__`
     # writes a bool as its int value and raises TypeError for a float, so

@@ -20,7 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from ._sparse import (  # Scalar and _norm_scalar stay importable from here
     Scalar,
@@ -35,12 +35,14 @@ from .compositions import (
     Composition,
     composition,
     parse_composition,
-    _code_rank,
+    _decode,
     _encode,
     _format_cached,
     _parse_composition_at,
+    _weight_table,
     _wll_rank,
     _RANK_MAX_WEIGHT,
+    _TABLE_MAX_WEIGHT,
 )
 from .errors import ParseError
 
@@ -49,16 +51,8 @@ from .errors import ParseError
 # (`compositions._encode`). Ints make cheap dict keys, as hashing one walks
 # no tuple; giving a code a new first part is one add (see
 # `_shuffle_codes`); and the wll rank follows from the code alone (see
-# `_decode`). Codes stay small because only products of weight at most
-# _RANK_MAX_WEIGHT take this route.
-
-
-@lru_cache(maxsize=1 << 16)
-def _decode(code: int) -> tuple[int, Composition, int]:
-    """(wll rank, composition, code) of a code; the composition's part ends
-    are the set bits below the sentinel."""
-    comp = tuple(len(run) + 1 for run in bin(code)[3:].split("1")[:-1])
-    return _code_rank(code), comp, code
+# `compositions._decode`). Codes stay small because only products of weight
+# at most _RANK_MAX_WEIGHT take this route.
 
 
 @lru_cache(maxsize=None)
@@ -82,22 +76,6 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
             code += top
             acc[code] = get(code, 0) + m
     return tuple(acc.items())
-
-
-# The weight tables hold every composition of weight <= 12, the set
-# `_format_cached` covers.
-_TABLE_MAX_WEIGHT = 12
-
-
-@lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
-def _weight_table(w: int) -> tuple[tuple[Composition, ...], Callable]:
-    """Every composition of weight w in canonical order, as `_decode`'s
-    tuples so that products key each by one object and dict lookups match
-    by identity, and a getter of their entries in a list indexed by code
-    (the odd ints from 2**w to 2**(w+1)). The getter also reads index 0,
-    which no code has, so that it returns a tuple even for one code."""
-    codes = sorted(range(1 << w | 1, 2 << w, 2), key=_code_rank, reverse=True)
-    return tuple(_decode(code)[1] for code in codes), itemgetter(*codes, 0)
 
 
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) -> dict[Composition, Scalar]:
@@ -128,7 +106,7 @@ def _mul_by_table(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) 
                 table[code] += q12 * m
     out: dict[Composition, Scalar] = {}
     for w in range(top, sum(next(reversed(ta))) + sum(next(reversed(tb))) - 1, -1):
-        comps, get_w = _weight_table(w)
+        comps, _, get_w = _weight_table(w)
         values = get_w(table)
         out.update(zip(compress(comps, values), filter(None, values)))
     for comp, q in out.items():

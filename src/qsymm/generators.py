@@ -45,7 +45,6 @@ from .compositions import (
     composition,
     concat_power,
     content_gcd,
-    enumerate_compositions,
     enumerate_elementary_lyndon,
     format_composition,
     is_lyndon,
@@ -53,11 +52,15 @@ from .compositions import (
     _parse_composition_at,
     _scan_int,
     _skip_ws,
+    _table,
+    _weight_table,
     reduce_content,
     weight,
     wll_key,
+    _TABLE_KEYS,
+    _TABLE_MAX_WEIGHT,
 )
-from .elements import QSymmElement, _weight_table
+from .elements import QSymmElement
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
 from .symmetric import E_BASIS, SymmPoly, e_compose_p, _p_in_e
@@ -92,7 +95,7 @@ def monomial_weight(m: GeneratorMonomial) -> int:
     return sum(n * weight(alpha) for alpha, n in m)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TABLE_KEYS)
 def _monomial_sort_key(m: GeneratorMonomial) -> tuple:
     return tuple(_factor_key(f) for f in m)
 
@@ -257,7 +260,7 @@ def _express_by_dict(gens: Iterable[tuple[GeneratorPolynomial, int]]) -> Generat
 _SLOT_BITS = 64
 _SLOT_LIMIT = 1 << (_SLOT_BITS - 1)
 # slots are read and written through array("q"); no packing without it
-_PACK_MAX_WEIGHT = 12 if array("q").itemsize * 8 == _SLOT_BITS else -1
+_PACK_MAX_WEIGHT = _TABLE_MAX_WEIGHT if array("q").itemsize * 8 == _SLOT_BITS else -1
 _COMPOSITIONS, _MONOMIALS = 0, 1  # the bases, as `_slot_table` holds them
 _UNIT = GeneratorPolynomial._from_sorted({UNIT_MONOMIAL: 1})
 
@@ -266,10 +269,10 @@ _UNIT = GeneratorPolynomial._from_sorted({UNIT_MONOMIAL: 1})
 def _slot_table(w: int) -> tuple[int, tuple[dict[Composition, int], dict[GeneratorMonomial, int]]]:
     """The bias 2**(_SLOT_BITS-1) in every slot of weight w, and each
     basis's {key: slot}, keys in canonical order."""
-    comps = _weight_table(w)[0]
+    index = _weight_table(w)[1]
     monos = enumerate_generator_monomials(w) if w else [UNIT_MONOMIAL]
-    bias = int.from_bytes(_SLOT_LIMIT.to_bytes(_SLOT_BITS // 8, sys.byteorder) * len(comps), sys.byteorder)
-    return bias, ({c: i for i, c in enumerate(comps)}, {m: i for i, m in enumerate(monos)})
+    bias = int.from_bytes(_SLOT_LIMIT.to_bytes(_SLOT_BITS // 8, sys.byteorder) * len(index), sys.byteorder)
+    return bias, (index, {m: i for i, m in enumerate(monos)})
 
 
 def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
@@ -287,13 +290,13 @@ def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
     return w, (int.from_bytes(vals, sys.byteorder) ^ bias) - bias, top
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TABLE_KEYS)
 def _expansion_vector(m: GeneratorMonomial) -> tuple[int, int | None, int]:
     """`_pack` of a generator monomial's expansion."""
     return _pack(_expand_monomial(m)._terms, monomial_weight(m), _COMPOSITIONS)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TABLE_KEYS)
 def _polynomial_vector(g: GeneratorPolynomial) -> tuple[int, int | None, int]:
     """`_pack` of a nonzero homogeneous generator polynomial, such as
     `express(beta)`."""
@@ -533,20 +536,22 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         expander = _GENERATOR_EXPANDERS[generators]
     except KeyError:
         raise ValueError(f"unknown generator family {generators!r}") from None
-    comps = enumerate_compositions(w)
+    comps, index, _ = _table(w)
     monos = enumerate_generator_monomials(w)
     if len(comps) != len(monos):
         raise ConsistencyError(
             f"weight {w}: {len(monos)} generator monomials vs "
             f"{len(comps)} compositions; transition matrix is not square"
         )
-    index = {comp: i for i, comp in enumerate(comps)}
     columns: list[dict[int, int]] = []
     for mono in monos:
         el = expander(mono)
-        if not el.is_integral() or not el.is_homogeneous(w):
+        # one pass: a composition of another weight has index -1, and a
+        # coefficient in canonical form is integral exactly when it is an int
+        column = {index.get(comp, -1): q for comp, q in el.terms() if type(q) is int}
+        if len(column) < len(el) or -1 in column:
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
-        columns.append({index[comp]: int(q) for comp, q in el.terms()})
+        columns.append(column)
     rows = [[0] * len(columns) for _ in comps]
     for j, col in enumerate(columns):
         for i, q in col.items():
@@ -562,7 +567,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     return FreenessCertificate(
         weight=w,
         determinant=det,
-        row_order=tuple(comps),
+        row_order=comps,
         col_order=tuple(monos),
         matrix=matrix,
     )

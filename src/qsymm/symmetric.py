@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
 from .compositions import Composition, composition
@@ -108,30 +108,29 @@ def _p_in_e(n: int) -> SymmPoly:
     return SymmPoly._from_dict(acc, E_BASIS)
 
 
+def _change_basis(f: SymmPoly, basis: str, convert: Callable[[int], SymmPoly]) -> SymmPoly:
+    """`f` rewritten in `basis`, each e_n or p_n replaced by `convert(n)`."""
+    acc: dict[Partition, Scalar] = {}
+    for part, q in f.terms():
+        prod = SymmPoly.one(basis)
+        for n in part:
+            prod = prod * convert(n)
+        _iadd_scaled(acc, prod._terms, q)
+    return SymmPoly._from_dict(acc, basis)
+
+
 def e_to_p(f: SymmPoly) -> SymmPoly:
     """Rewrite an e-basis polynomial in the p basis."""
     if f.basis != E_BASIS:
         raise ValueError("e_to_p needs an e-basis polynomial")
-    acc: dict[Partition, Scalar] = {}
-    for part, q in f.terms():
-        prod = SymmPoly.one(P_BASIS)
-        for n in part:
-            prod = prod * _e_in_p(n)
-        _iadd_scaled(acc, prod._terms, q)
-    return SymmPoly._from_dict(acc, P_BASIS)
+    return _change_basis(f, P_BASIS, _e_in_p)
 
 
 def p_to_e(f: SymmPoly) -> SymmPoly:
     """Rewrite a p-basis polynomial in the e basis."""
     if f.basis != P_BASIS:
         raise ValueError("p_to_e needs a p-basis polynomial")
-    acc: dict[Partition, Scalar] = {}
-    for part, q in f.terms():
-        prod = SymmPoly.one(E_BASIS)
-        for n in part:
-            prod = prod * _p_in_e(n)
-        _iadd_scaled(acc, prod._terms, q)
-    return SymmPoly._from_dict(acc, E_BASIS)
+    return _change_basis(f, E_BASIS, _p_in_e)
 
 
 def plethysm_p(f: SymmPoly, m: int) -> SymmPoly:

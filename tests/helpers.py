@@ -7,6 +7,25 @@ with the package is evidence rather than tautology.
 """
 
 from fractions import Fraction
+from itertools import product
+
+
+def brute_compositions(w):
+    """Every composition of weight `w`, one per choice of the places among
+    the w - 1 gaps between w units where a part ends, in no set order."""
+    if w == 0:
+        return [()]
+    out = []
+    for ends in product((False, True), repeat=w - 1):
+        parts, run = [], 1
+        for end in ends:
+            if end:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        out.append(tuple(parts + [run]))
+    return out
 
 
 def brute_lyndon_factorizations(word, is_lyndon):

@@ -168,6 +168,19 @@ class TestVerifyAll:
             verify_all(0)
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize(
+        "argv", [("certify", "--weight", "2", "--json"), ("product", "[1]", "[2]", "--output")]
+    )
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = invoke(capsys, *argv, str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert not path.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

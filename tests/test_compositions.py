@@ -28,7 +28,7 @@ from qsymm.elements import QSymmElement, format_element
 from qsymm.errors import ParseError
 from qsymm.generators import format_monomial
 
-from helpers import brute_lyndon_factorizations
+from helpers import brute_compositions, brute_lyndon_factorizations
 
 
 def all_compositions_up_to(max_weight):
@@ -208,10 +208,12 @@ class TestEnumeration:
             assert len(enumerate_compositions(w)) == 2 ** (w - 1)
 
     def test_sorted_wll_descending(self):
-        for w in range(0, 8):
+        # valid, of weight w, distinct and 2**(w-1) of them: that fixes the set
+        for w in range(0, 15):
             comps = enumerate_compositions(w)
             assert comps == sorted(comps, key=wll_key, reverse=True)
-            assert len(set(comps)) == len(comps)
+            assert all(composition(c) == c and sum(c) == w for c in comps)
+            assert len(set(comps)) == len(comps) == (2 ** (w - 1) if w else 1)
 
     def test_elementary_lyndon(self):
         assert enumerate_elementary_lyndon(1) == [(1,)]
@@ -219,12 +221,13 @@ class TestEnumeration:
         assert enumerate_elementary_lyndon(4) == [(1,), (1, 2), (1, 3), (1, 1, 2)]
 
     def test_elementary_lyndon_brute_force(self):
-        expected = {
+        expected = [
             c
-            for c in all_compositions_up_to(6)
-            if c and is_lyndon(c) and content_gcd(c) == 1
-        }
-        assert set(enumerate_elementary_lyndon(6)) == expected
+            for w in range(1, 11)
+            for c in brute_compositions(w)
+            if is_lyndon(c) and content_gcd(c) == 1
+        ]
+        assert enumerate_elementary_lyndon(10) == sorted(expected, key=wll_key)
 
 
 class TestTextFormat:

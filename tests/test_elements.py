@@ -12,17 +12,14 @@ from functools import cache
 
 import pytest
 
-from qsymm.compositions import _wll_rank, enumerate_compositions, wll_key
+from qsymm.compositions import _decode, _encode, _weight_table, _wll_rank, enumerate_compositions, wll_key
 from qsymm.elements import (
     QSymmElement,
-    _decode,
-    _encode,
     _mul_pairwise,
     _mul_trie,
     _pair_work,
     _shuffle_codes,
     _trie_product,
-    _weight_table,
     element_from_json_obj,
     element_to_json_obj,
     format_element,
@@ -30,6 +27,8 @@ from qsymm.elements import (
     quasi_shuffle,
 )
 from qsymm.errors import ParseError
+
+from helpers import brute_compositions
 
 
 def nonempty_up_to(max_weight):
@@ -439,8 +438,9 @@ class TestCodeTable:
     def test_tables_hold_every_composition_in_canonical_order(self):
         _weight_table.cache_clear()
         for w in range(13):
-            comps, get = _weight_table(w)
-            assert list(comps) == enumerate_compositions(w)
+            comps, index, get = _weight_table(w)
+            assert list(comps) == sorted(brute_compositions(w), key=wll_key, reverse=True)
+            assert list(index) == list(comps) and list(index.values()) == list(range(len(comps)))
             # the same objects as the dict finish's keys, so that sums of
             # products from both finishes find their keys by identity
             assert all(c is _decode(_encode(c))[1] for c in comps)

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from qsymm.compositions import (
     weight,
 )
 from qsymm.elements import QSymmElement
-from qsymm.errors import ParseError
+from qsymm import generators
+from qsymm.errors import ConsistencyError, ParseError
 from qsymm.generators import (
     _COMPOSITIONS,
     _MONOMIALS,
@@ -170,8 +172,6 @@ class TestExpressElement:
         assert expand(g) == el
 
     def test_rejects_non_integral(self):
-        from fractions import Fraction
-
         with pytest.raises(ValueError):
             express_element(QSymmElement.monomial((1,), Fraction(1, 2)))
 
@@ -436,6 +436,26 @@ class TestCertificates:
                 for mono, c in g.terms():
                     vector[col_index[mono]] = c
                 assert [int(x) for x in solution] == vector
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda el: el + QSymmElement({(1, 1): 1}),  # a term of another weight
+            lambda el: QSymmElement({(1, 1): 1}),  # only terms of another weight
+            lambda el: el + QSymmElement({(1, 1, 1): Fraction(1, 2)}),  # a non-integral coefficient
+        ],
+    )
+    def test_malformed_expansion_is_a_consistency_error(self, monkeypatch, malform):
+        bad = enumerate_generator_monomials(3)[2]
+
+        def expander(mono):
+            el = generators._expand_monomial(mono)
+            return malform(el) if mono == bad else el
+
+        monkeypatch.setitem(generators._GENERATOR_EXPANDERS, "elementary", expander)
+        message = f"expansion of {format_monomial(bad)} is malformed"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            freeness_certificate.__wrapped__(3)
 
     def test_certificate_json_shape(self):
         cert = freeness_certificate(3)

@@ -16,15 +16,15 @@ import qsymm
 # Worst-case footprints are noted for the memos that have one, measured
 # with tracemalloc on Python 3.11.
 MEMOS = {
+    "qsymm.compositions._decode": 1 << 16,
     "qsymm.compositions._format_cached": 4096,
+    # one table per weight 0-12, 4096 compositions and their indices: 1.5 MiB
+    # full, counting the `_decode` entries whose tuples the tables share
+    "qsymm.compositions._weight_table": 13,
     "qsymm.compositions._wll_rank": 1 << 16,
-    "qsymm.elements._decode": 1 << 16,
     "qsymm.elements._delannoy": 1024,
     "qsymm.elements._shuffle_codes": None,
     "qsymm.elements._trie_product": 512,
-    # one table per weight 0-12, 4096 compositions: 1.3 MiB full, counting
-    # the `_decode` entries whose tuples the tables share
-    "qsymm.elements._weight_table": 13,
     "qsymm.generators._expand_monomial": None,
     # one packed vector per key of weight <= 12: 38.9 MiB full, the
     # vectors alone (their expansions are `_expand_monomial`'s)
@@ -36,7 +36,7 @@ MEMOS = {
     "qsymm.generators._polynomial_vector": 4096,
     "qsymm.generators._product_gens_up_to": None,
     # one table per weight 0-12, both bases: 0.8 MiB full, counting the
-    # monomials it enumerates
+    # monomials it enumerates; the compositions' index is `_weight_table`'s
     "qsymm.generators._slot_table": 13,
     "qsymm.generators.freeness_certificate": None,
     "qsymm.lambda_ops._series_box": 4096,
