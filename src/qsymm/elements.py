@@ -16,6 +16,7 @@ leading term is always first and output is reproducible.
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from functools import lru_cache
 from itertools import compress
@@ -264,7 +265,15 @@ class QSymmElement(SparseTerms):
         return all(sum(c) == w for c in self._terms)
 
     def homogeneous_weight(self) -> int | None:
-        """The common weight of all terms, or None if zero or mixed."""
+        """The common weight of all terms, or None if zero or mixed.
+
+        Deprecated: test a weight with `is_homogeneous(w)` instead.
+        """
+        warnings.warn(
+            "QSymmElement.homogeneous_weight is deprecated; use is_homogeneous(w)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         weights = {sum(c) for c in self._terms}
         if len(weights) == 1:
             return weights.pop()

@@ -63,7 +63,7 @@ from .compositions import (
 from .elements import QSymmElement
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
-from .symmetric import E_BASIS, SymmPoly, e_compose_p, _p_in_e
+from .symmetric import SymmPoly, e_compose_p, _p_in_e
 
 # A factor is (base composition, lambda index); a monomial is a tuple of
 # factors sorted by (weight, base, index), one entry per power.
@@ -167,15 +167,12 @@ def expand(g: GeneratorPolynomial) -> QSymmElement:
 
 def _symm_to_generators(f: SymmPoly, alpha: Composition) -> GeneratorPolynomial:
     """Reinterpret an integer e-basis polynomial with e_j read as the j-th
-    generator of `alpha`."""
-    if f.basis != E_BASIS:
-        raise ValueError("need an e-basis polynomial")
-    terms: dict[GeneratorMonomial, int] = {}
-    for part, q in f.terms():
-        if q.denominator != 1:
-            raise ValueError(f"non-integer coefficient {q} cannot enter a generator polynomial")
-        terms[make_monomial([(alpha, j) for j in part])] = q
-    return GeneratorPolynomial._from_dict(terms)
+    generator of `alpha`: a partition's parts descend, a monomial's factors
+    ascend. Only `_p_in_e` and `e_compose_p` results come here, and both are
+    integral e-basis polynomials."""
+    return GeneratorPolynomial._from_dict(
+        {tuple((alpha, j) for j in reversed(part)): q for part, q in f.terms()}
+    )
 
 
 def express(beta: Iterable[int]) -> GeneratorPolynomial:
@@ -334,31 +331,25 @@ def _packed_sum(pairs: Iterable[tuple], vector: Callable, basis: int) -> tuple[d
 
 def enumerate_generator_monomials(w: int) -> list[GeneratorMonomial]:
     """All generator monomials of total weight `w`, in the canonical
-    descending monomial order (there are 2**(w-1) of them)."""
+    descending monomial order (there are 2**(w-1) of them).
+
+    One pass over the symbols (alpha, n), largest first: each symbol goes in
+    front of every monomial of the weight it leaves over, so factors ascend
+    and each weight's list is already canonical, in blocks by first factor.
+    """
     if w < 1:
         raise ValueError("weight must be >= 1")
-    symbols: list[Factor] = []
-    for alpha in enumerate_elementary_lyndon(w):
-        for n in range(1, w // weight(alpha) + 1):
-            symbols.append((alpha, n))
-    symbols.sort(key=_factor_key)
-    sym_weight = [n * weight(alpha) for alpha, n in symbols]
-
-    found: list[GeneratorMonomial] = []
-
-    def pick(start: int, remaining: int, acc: list[Factor]) -> None:
-        if remaining == 0:
-            found.append(tuple(acc))
-            return
-        for j in range(start, len(symbols)):
-            if sym_weight[j] <= remaining:
-                acc.append(symbols[j])
-                pick(j, remaining - sym_weight[j], acc)
-                acc.pop()
-
-    pick(0, w, [])
-    found.sort(key=_monomial_sort_key.__wrapped__, reverse=True)  # one-off: spare the memo
-    return found
+    symbols = sorted(
+        ((alpha, n) for alpha in enumerate_elementary_lyndon(w) for n in range(1, w // weight(alpha) + 1)),
+        key=_factor_key,
+        reverse=True,
+    )
+    by_weight: list[list[GeneratorMonomial]] = [[UNIT_MONOMIAL]] + [[] for _ in range(w)]
+    for sym in symbols:
+        step = sym[1] * weight(sym[0])
+        for r in range(step, w + 1):
+            by_weight[r] += [(sym,) + m for m in by_weight[r - step]]
+    return by_weight[w]
 
 
 # -- exact determinants and certificates -------------------------------------
@@ -583,7 +574,7 @@ def _product_gens_up_to(alpha: Composition, order: int) -> tuple[GeneratorPolyno
     series = [GeneratorPolynomial.one()] + [GeneratorPolynomial.zero()] * order
     gens: list[GeneratorPolynomial] = []
     for k in range(1, order + 1):
-        e_k = GeneratorPolynomial.generator(alpha, k)
+        e_k = GeneratorPolynomial._from_sorted({((alpha, k),): 1})
         target = e_k if k % 2 == 0 else -e_k
         g_k = series[k] - target
         gens.append(g_k)

@@ -18,11 +18,11 @@ quasi-shuffle elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
-from .compositions import Composition, composition
+from .compositions import composition
 from .elements import QSymmElement
 from .errors import IntegralityError
 from .lambda_ops import frobenius, lambda_n, lambda_series
@@ -108,29 +108,33 @@ def _p_in_e(n: int) -> SymmPoly:
     return SymmPoly._from_dict(acc, E_BASIS)
 
 
-def _change_basis(f: SymmPoly, basis: str, convert: Callable[[int], SymmPoly]) -> SymmPoly:
-    """`f` rewritten in `basis`, each e_n or p_n replaced by `convert(n)`."""
-    acc: dict[Partition, Scalar] = {}
+def _substitute(
+    f: SymmPoly, unit: Callable[[], SparseTerms], image: Callable[[int], SparseTerms]
+) -> dict:
+    """The terms of the sum, over the partitions of `f`, of each coefficient
+    times the product of `image(n)` over the parts n; every product starts
+    from a fresh `unit()`."""
+    acc: dict = {}
     for part, q in f.terms():
-        prod = SymmPoly.one(basis)
+        prod = unit()
         for n in part:
-            prod = prod * convert(n)
+            prod = prod * image(n)
         _iadd_scaled(acc, prod._terms, q)
-    return SymmPoly._from_dict(acc, basis)
+    return acc
 
 
 def e_to_p(f: SymmPoly) -> SymmPoly:
     """Rewrite an e-basis polynomial in the p basis."""
     if f.basis != E_BASIS:
         raise ValueError("e_to_p needs an e-basis polynomial")
-    return _change_basis(f, P_BASIS, _e_in_p)
+    return SymmPoly._from_dict(_substitute(f, partial(SymmPoly.one, P_BASIS), _e_in_p), P_BASIS)
 
 
 def p_to_e(f: SymmPoly) -> SymmPoly:
     """Rewrite a p-basis polynomial in the e basis."""
     if f.basis != P_BASIS:
         raise ValueError("p_to_e needs a p-basis polynomial")
-    return _change_basis(f, E_BASIS, _p_in_e)
+    return SymmPoly._from_dict(_substitute(f, partial(SymmPoly.one, E_BASIS), _p_in_e), E_BASIS)
 
 
 def plethysm_p(f: SymmPoly, m: int) -> SymmPoly:
@@ -163,13 +167,7 @@ def evaluate_at(f: SymmPoly, a: QSymmElement) -> QSymmElement:
         raise ValueError("evaluate_at needs an e-basis polynomial")
     max_index = max((part[0] for part, _ in f.terms() if part), default=0)
     lam = lambda_series(a, max_index)
-    acc: dict[Composition, Scalar] = {}
-    for part, q in f.terms():
-        prod = QSymmElement.one()
-        for n in part:
-            prod = prod * lam.coefficient(n)
-        _iadd_scaled(acc, prod._terms, q)
-    return QSymmElement._from_dict(acc)
+    return QSymmElement._from_dict(_substitute(f, QSymmElement.one, lam.coefficient))
 
 
 def plethysm_compat_check(n: int, m: int, alpha: Iterable[int]) -> bool:

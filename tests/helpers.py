@@ -8,6 +8,7 @@ with the package is evidence rather than tautology.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def brute_compositions(w):
@@ -26,6 +27,48 @@ def brute_compositions(w):
                 run += 1
         out.append(tuple(parts + [run]))
     return out
+
+
+def brute_generator_monomials(w):
+    """Every generator monomial of weight `w`, found by a recursive search.
+
+    A symbol is (alpha, n) with alpha an elementary Lyndon composition, one
+    strictly smaller than each of its proper rotations with parts of gcd 1,
+    and n * |alpha| <= w. A monomial is a tuple of symbols ascending by
+    (|alpha|, alpha, n), and the list runs in the canonical order: its
+    monomials' tuples of those keys, descending.
+    """
+
+    def key(symbol):
+        alpha, n = symbol
+        return (sum(alpha), alpha, n)
+
+    symbols = sorted(
+        (
+            (alpha, n)
+            for v in range(1, w + 1)
+            for alpha in brute_compositions(v)
+            if all(alpha < alpha[i:] + alpha[:i] for i in range(1, len(alpha)))
+            and gcd(*alpha) == 1
+            for n in range(1, w // v + 1)
+        ),
+        key=key,
+    )
+    found = []
+
+    def go(start, rest, acc):
+        if rest == 0:
+            found.append(tuple(acc))
+            return
+        for j in range(start, len(symbols)):
+            alpha, n = symbols[j]
+            if n * sum(alpha) <= rest:
+                acc.append(symbols[j])
+                go(j, rest - n * sum(alpha), acc)
+                acc.pop()
+
+    go(0, w, [])
+    return sorted(found, key=lambda m: [key(f) for f in m], reverse=True)
 
 
 def brute_lyndon_factorizations(word, is_lyndon):

@@ -88,6 +88,28 @@ class TestUnaryCommands:
         code, _, err = invoke(capsys, "frobenius", "-n", "0", "[1]")
         assert code == 2
 
+    # The library or the argument parser rejects these, so the handlers
+    # repeat no check of their own.
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (("express", "[]"), "error: express needs a nonempty composition"),
+            (("plethysm-e-p", "-n", "0", "-m", "2"), "error: indices must be >= 1"),
+            (("plethysm-e-p", "-n", "2", "-m", "0"), "error: indices must be >= 1"),
+            (("certify", "--weight", "0"), "qsymm certify: error: argument --weight: must be >= 1, got 0"),
+        ],
+        ids=["express-empty", "plethysm-n0", "plethysm-m0", "certify-weight0"],
+    )
+    def test_rejected_arguments(self, capsys, argv, last_line):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith("\n")
+        lines = err.splitlines()
+        assert lines[-1] == last_line
+        if last_line.startswith("error:"):
+            assert len(lines) == 1
+
 
 class TestCertify:
     def test_text_summary(self, capsys):

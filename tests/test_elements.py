@@ -477,6 +477,17 @@ class TestLeadingTerm:
             assert comps == sorted(comps, key=wll_key, reverse=True)
 
 
+class TestHomogeneity:
+    def test_homogeneous_weight_is_deprecated(self):
+        for el, expected in [
+            (QSymmElement({(1, 1): 2, (2,): 1}), 2),
+            (QSymmElement({(1, 1): 2, (1,): 1}), None),
+            (QSymmElement.zero(), None),
+        ]:
+            with pytest.warns(DeprecationWarning, match="use is_homogeneous"):
+                assert el.homogeneous_weight() == expected
+
+
 class TestTextAndJson:
     def test_format_examples(self):
         assert format_element(QSymmElement.zero()) == "0"

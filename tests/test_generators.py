@@ -44,7 +44,7 @@ from qsymm.generators import (
     product_gen,
 )
 
-from helpers import cofactor_det, solve_exact
+from helpers import brute_generator_monomials, cofactor_det, solve_exact
 
 
 def gen(alpha, n):
@@ -153,6 +153,22 @@ class TestExpress:
         for beta in nonempty_up_to(6):
             g = express(beta)
             assert all(isinstance(c, int) for _, c in g.terms())
+
+    def test_remainder_rejects_a_non_smaller_term(self):
+        # e1([1])^2 expands to 2*[1,1] + [2], so [1,1] is left over
+        message = "rewriting [1,1] left the non-smaller term [1,1]"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            generators._remainder(gen((1,), 1) ** 2, (1, 1))
+
+    def test_wrong_pure_power_candidate_is_a_consistency_error(self, monkeypatch):
+        e_compose_p = generators.e_compose_p
+        monkeypatch.setattr(generators, "e_compose_p", lambda n, m: 2 * e_compose_p(n, m))
+        generators._express.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match=re.escape("rewriting [1,1]")):
+                express((1, 1))
+        finally:
+            generators._express.cache_clear()
 
 
 class TestExpressElement:
@@ -306,8 +322,14 @@ class TestEnumeration:
         assert make_monomial([((1,), 1), ((1, 2), 1)]) in monos
 
     def test_counts_match_compositions(self):
+        for w in range(1, 15):
+            monos = enumerate_generator_monomials(w)
+            assert len(monos) == len(set(monos)) == 2 ** (w - 1)
+            assert all(monomial_weight(m) == w for m in monos)
+
+    def test_matches_brute_force_in_order(self):
         for w in range(1, 11):
-            assert len(enumerate_generator_monomials(w)) == 2 ** (w - 1)
+            assert enumerate_generator_monomials(w) == brute_generator_monomials(w)
 
     def test_homogeneous(self):
         for w in range(1, 8):
