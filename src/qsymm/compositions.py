@@ -346,38 +346,23 @@ def _parse_composition_at(s: str, pos: int) -> tuple[Composition, int]:
 
 
 def _scan_composition(s: str, pos: int) -> tuple[Composition, int]:
-    """Scan one composition literal starting at `pos`; returns (value, end).
-
-    Whitespace and digits are scanned inline, as `_skip_ws` and `_scan_int`
-    would scan them, with the same messages and positions."""
-    n = len(s)
-    while pos < n and s[pos].isspace():
-        pos += 1
-    if pos >= n or s[pos] != "[":
+    """Scan one composition literal starting at `pos`; returns (value, end)."""
+    pos = _skip_ws(s, pos)
+    if not s.startswith("[", pos):
         raise ParseError("expected '['", pos)
-    pos += 1
-    while pos < n and s[pos].isspace():
-        pos += 1
-    if pos < n and s[pos] == "]":
+    pos = _skip_ws(s, pos + 1)
+    if s.startswith("]", pos):
         return (), pos + 1
     parts: list[int] = []
     while True:
-        start = pos
-        while pos < n and "0" <= s[pos] <= "9":
-            pos += 1
-        if pos == start:
-            raise ParseError("expected a positive integer part", pos)
-        part = int(s[start:pos])
+        part, end = _scan_int(s, pos, "a positive integer part")
         if not part:
-            raise ParseError("parts must be >= 1", start)
+            raise ParseError("parts must be >= 1", pos)
         parts.append(part)
-        while pos < n and s[pos].isspace():
-            pos += 1
-        ch = s[pos] if pos < n else ""
+        pos = _skip_ws(s, end)
+        ch = s[pos : pos + 1]
         if ch == ",":
-            pos += 1
-            while pos < n and s[pos].isspace():
-                pos += 1
+            pos = _skip_ws(s, pos + 1)
         elif ch == "]":
             return tuple(parts), pos + 1
         else:

@@ -212,13 +212,13 @@ def _express(beta: Composition) -> GeneratorPolynomial:
 def _remainder(candidate: GeneratorPolynomial, beta: Composition) -> QSymmElement:
     """expand(candidate) minus beta, verified strictly wll-smaller than beta."""
     rem = candidate.expand() - QSymmElement.monomial(beta)
-    beta_key = wll_key(beta)
-    for comp in rem.compositions():
-        if wll_key(comp) >= beta_key:
-            raise ConsistencyError(
-                f"rewriting {format_composition(beta)} left the non-smaller "
-                f"term {format_composition(comp)} in the remainder"
-            )
+    # terms are in wll-descending order, so only the leading one can fail
+    lead = next(rem.compositions(), None)
+    if lead is not None and wll_key(lead) >= wll_key(beta):
+        raise ConsistencyError(
+            f"rewriting {format_composition(beta)} left the non-smaller "
+            f"term {format_composition(lead)} in the remainder"
+        )
     return rem
 
 

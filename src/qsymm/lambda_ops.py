@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
-from ._sparse import Scalar, _iadd_scaled
+from ._sparse import Scalar, SparseTerms, _iadd_scaled
 from .compositions import Composition, composition
 from .elements import QSymmElement
 from .errors import IntegralityError
@@ -52,8 +52,7 @@ clear_memo = _series_box.cache_clear
 
 def frobenius(n: int, a: QSymmElement) -> QSymmElement:
     """Adams operator: multiply every part of every composition by n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("frobenius index must be an integer >= 1")
+    _check_index(n, 1, "frobenius index must be an integer >= 1")
     return QSymmElement._from_dict({tuple(n * p for p in comp): q for comp, q in a.terms()})
 
 
@@ -74,25 +73,53 @@ class LambdaSeries:
         return self.coefficients[n]
 
 
-def _divide_exact(acc: dict[Composition, Scalar], n: int, must_be_integral: bool) -> QSymmElement:
-    terms: dict[Composition, Scalar] = {}
-    for comp, q in acc.items():
-        if must_be_integral:
-            if not isinstance(q, int) or q % n != 0:
-                raise IntegralityError(
-                    f"division by {n} is inexact on coefficient {q} of "
-                    f"{comp}; lambda operations must stay integral"
-                )
-            terms[comp] = q // n
-        else:
-            terms[comp] = Fraction(q, n)
-    return QSymmElement._from_dict(terms)
+# the i-th element of a sequence of polynomials, such as e_i or p_i
+_Indexed = Callable[[int], SparseTerms]
+
+
+def _newton_sum(e: _Indexed, p: _Indexed, n: int, stop: int) -> dict:
+    """The terms of sum_{i=1..stop} (-1)**(i-1) * e(n-i) * p(i), Newton's
+    identity for n * e(n) when stop = n. Products are taken for i = 1, 2, ...
+    in turn, with e first."""
+    acc: dict = {}
+    for i in range(1, stop + 1):
+        _iadd_scaled(acc, (e(n - i) * p(i))._terms, 1 if i % 2 else -1)
+    return acc
+
+
+def _newton_inverse(e_n: dict, e: _Indexed, p: _Indexed, n: int) -> dict:
+    """The terms of p(n) solved from Newton's identity, given the terms
+    `e_n` of e(n): (-1)**(n-1) * (n * e(n) - _newton_sum(e, p, n, n - 1))."""
+    sign = 1 if n % 2 else -1
+    return _iadd_scaled(_iadd_scaled({}, e_n, sign * n), _newton_sum(e, p, n, n - 1), -sign)
+
+
+def _divide(acc: dict, n: int, exact: bool) -> dict:
+    """The terms of `acc` divided by n: exactly, raising IntegralityError on
+    a remainder, or else as Fractions."""
+    if not exact:
+        return {key: Fraction(q, n) for key, q in acc.items()}
+    for key, q in acc.items():
+        if not isinstance(q, int) or q % n != 0:
+            raise IntegralityError(
+                f"division by {n} is inexact on coefficient {q} of "
+                f"{key}; lambda operations must stay integral"
+            )
+    return {key: q // n for key, q in acc.items()}
+
+
+def _check_index(n: object, least: int, message: str) -> None:
+    """Raise ValueError(message) unless `n` is an int of at least `least`;
+    a bool or a float is not an index."""
+    if type(n) is not int:
+        raise ValueError(f"{message}, got {n!r}")
+    if n < least:
+        raise ValueError(message)
 
 
 def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
     """Lambda series of `a` up to the given truncation order (memoized)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_index(order, 0, "order must be >= 0")
     box = _series_box(a)
     # Extend a copy and swap it in whole: a box only ever takes a longer
     # version of its series, so concurrent callers can lose work but never
@@ -101,11 +128,8 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
     integral = a.is_integral()
     while len(coeffs) <= order:
         n = len(coeffs)
-        acc: dict[Composition, Scalar] = {}
-        for i in range(1, n + 1):
-            term = coeffs[n - i] * frobenius(i, a)
-            _iadd_scaled(acc, term._terms, 1 if i % 2 == 1 else -1)
-        coeffs.append(_divide_exact(acc, n, integral))
+        acc = _newton_sum(coeffs.__getitem__, lambda i: frobenius(i, a), n, n)
+        coeffs.append(QSymmElement._from_dict(_divide(acc, n, integral)))
     if len(coeffs) > len(box[0]):
         box[0] = tuple(coeffs)
     return LambdaSeries(a, tuple(coeffs[: order + 1]))
@@ -113,8 +137,7 @@ def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:
 
 def lambda_n(n: int, a: QSymmElement) -> QSymmElement:
     """The n-th lambda operation; lam_0 = 1, lam_1 = identity."""
-    if n < 0:
-        raise ValueError("lambda index must be >= 0")
+    _check_index(n, 0, "lambda index must be >= 0")
     return lambda_series(a, n).coefficient(n)
 
 
@@ -124,26 +147,20 @@ def adams_from_lambda(n: int, series: LambdaSeries) -> QSymmElement:
     Inverts the Newton recursion; round-trips with `frobenius` on the
     series base element.
     """
-    if n < 1:
-        raise ValueError("adams index must be >= 1")
+    _check_index(n, 1, "adams index must be >= 1")
     if series.order < n:
         raise ValueError(f"series truncated at order {series.order}, need {n}")
     lam = series.coefficients
-    adams: list[QSymmElement] = [QSymmElement()]  # placeholder at index 0
+    adams: list[QSymmElement] = []  # adams[i - 1] is f_i
     for m in range(1, n + 1):
-        sign = 1 if m % 2 == 1 else -1
-        acc = _iadd_scaled({}, lam[m]._terms, sign * m)
-        for i in range(1, m):
-            term = lam[m - i] * adams[i]
-            _iadd_scaled(acc, term._terms, -sign if i % 2 == 1 else sign)
+        acc = _newton_inverse(lam[m]._terms, lam.__getitem__, lambda i: adams[i - 1], m)
         adams.append(QSymmElement._from_dict(acc))
-    return adams[n]
+    return adams[n - 1]
 
 
 def elementary_gen(n: int, alpha: Iterable[int]) -> QSymmElement:
     """The weight n*wt(alpha) generator lam_n(alpha) of a composition."""
-    if n < 1:
-        raise ValueError("generator index must be >= 1")
+    _check_index(n, 1, "generator index must be >= 1")
     comp = composition(alpha)
     if not comp:
         raise ValueError("generator base composition must be nonempty")
@@ -153,8 +170,7 @@ def elementary_gen(n: int, alpha: Iterable[int]) -> QSymmElement:
 def power_gen(n: int, alpha: Iterable[int]) -> QSymmElement:
     """The power-sum counterpart: the single composition with every part
     multiplied by n."""
-    if n < 1:
-        raise ValueError("generator index must be >= 1")
+    _check_index(n, 1, "generator index must be >= 1")
     comp = composition(alpha)
     if not comp:
         raise ValueError("generator base composition must be nonempty")
@@ -203,8 +219,7 @@ def exp_identity_check(alpha: Iterable[int], order: int) -> bool:
 
     The log series is taken as L / D with D = lcm(1..order), so that L has
     integer coefficients (-1)**(n-1) * (D/n) * f_n(alpha)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_index(order, 1, "order must be >= 1")
     base = QSymmElement.monomial(composition(alpha))
     d = math.lcm(*range(1, order + 1))
     log_terms = [QSymmElement()]

@@ -300,13 +300,6 @@ def _packed_check(
     return OracleCheck(identity, instance, "pass", text, text)
 
 
-def _check(identity: str, instance: str, element: QSymmElement, k: int, rhs: TruncatedPolynomial) -> OracleCheck:
-    """`_packed_check` against a polynomial, at a width that holds both
-    sides."""
-    b = _width(max(_max_exponent(rhs), _max_part(element, k)))
-    return _packed_check(identity, instance, element, k, b, _pack(rhs, b))
-
-
 def oracle_suite(max_weight: int, k: int) -> OracleReport:
     """Differential test run: quasi-shuffle products, Adams operators and
     lambda powers recomputed on the polynomial side for all compositions up

@@ -7,8 +7,9 @@ run through the Newton identities
 
     n * e_n = sum_{i=1..n} (-1)**(i-1) * e_{n-i} * p_i
 
-so the p-basis side is intrinsically rational while p_n written in the e
-basis always has integer coefficients. Plethysm is implemented only for
+(`lambda_ops._newton_sum`, shared with the lambda series), so the p-basis
+side is intrinsically rational while p_n written in the e basis always has
+integer coefficients. Plethysm is implemented only for
 substitution of a power sum on the right (p_k -> p_{k*m}), which is all the
 generator machinery needs, and evaluation substitutes lambda operations for
 the elementary functions, turning any e-polynomial into an operation on
@@ -17,7 +18,6 @@ quasi-shuffle elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
@@ -25,7 +25,7 @@ from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
 from .compositions import composition
 from .elements import QSymmElement
 from .errors import IntegralityError
-from .lambda_ops import frobenius, lambda_n, lambda_series
+from .lambda_ops import _divide, _newton_inverse, _newton_sum, frobenius, lambda_n, lambda_series
 
 Partition = tuple[int, ...]
 
@@ -85,27 +85,26 @@ class SymmPoly(SparseTerms):
 
 @lru_cache(maxsize=None)
 def _e_in_p(n: int) -> SymmPoly:
-    """e_n expressed in the p basis (rational coefficients)."""
+    """e_n expressed in the p basis (rational coefficients).
+
+    >>> print(_e_in_p(2))
+    1/2*p1^2 - 1/2*p2
+    """
     if n == 0:
         return SymmPoly.one(P_BASIS)
-    acc: dict[Partition, Scalar] = {}
-    for i in range(1, n + 1):
-        term = _e_in_p(n - i) * SymmPoly.p(i)
-        _iadd_scaled(acc, term._terms, Fraction(1 if i % 2 == 1 else -1, n))
-    return SymmPoly._from_dict(acc, P_BASIS)
+    return SymmPoly._from_dict(_divide(_newton_sum(_e_in_p, SymmPoly.p, n, n), n, exact=False), P_BASIS)
 
 
 @lru_cache(maxsize=None)
 def _p_in_e(n: int) -> SymmPoly:
-    """p_n expressed in the e basis (integer coefficients)."""
+    """p_n expressed in the e basis (integer coefficients).
+
+    >>> print(_p_in_e(3))
+    e1^3 - 3*e1*e2 + 3*e3
+    """
     if n == 0:
         return SymmPoly.one(E_BASIS)
-    sign = 1 if n % 2 == 1 else -1
-    acc: dict[Partition, Scalar] = {(n,): sign * n}
-    for i in range(1, n):
-        term = SymmPoly.e(n - i) * _p_in_e(i)
-        _iadd_scaled(acc, term._terms, -sign if i % 2 == 1 else sign)
-    return SymmPoly._from_dict(acc, E_BASIS)
+    return SymmPoly._from_dict(_newton_inverse({(n,): 1}, SymmPoly.e, _p_in_e, n), E_BASIS)
 
 
 def _substitute(

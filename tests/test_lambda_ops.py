@@ -155,6 +155,14 @@ class TestSeries:
             for n in range(1, 5):
                 assert adams_from_lambda(n, s) == frobenius(n, mono(c))
 
+    def test_adams_round_trip_on_a_rational_series(self):
+        # a rational element's series divides by Fractions; the inverse must undo that
+        a = mono((1,), Fraction(1, 2)) - mono((2,))
+        s = lambda_series(a, 4)
+        assert not s.coefficient(2).is_integral()
+        for n in range(1, 5):
+            assert adams_from_lambda(n, s) == frobenius(n, a)
+
     def test_adams_n1_is_first_coefficient(self):
         s = lambda_series(mono((2, 1)), 2)
         assert adams_from_lambda(1, s) == mono((2, 1))
@@ -183,6 +191,26 @@ class TestSeries:
         finally:
             clear_memo()
         assert lo._series_box.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: frobenius(n, mono((1,))),
+        lambda n: lambda_n(n, mono((1,))),
+        lambda n: lambda_series(mono((1,)), n),
+        lambda n: adams_from_lambda(n, lambda_series(mono((1,)), 2)),
+        lambda n: elementary_gen(n, (1,)),
+        lambda n: power_gen(n, (1,)),
+        lambda n: exp_identity_check((1,), n),
+    ],
+    ids=["frobenius", "lambda_n", "lambda_series", "adams_from_lambda", "elementary_gen", "power_gen", "exp_identity_check"],
+)
+def test_index_must_be_an_int(call, bad):
+    # a bool is not read as 1, and a float does not fail deep inside
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        call(bad)
 
 
 class TestGenerators:

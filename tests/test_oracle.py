@@ -11,7 +11,6 @@ from qsymm.elements import QSymmElement, quasi_shuffle
 from qsymm.lambda_ops import frobenius, lambda_n
 from qsymm.oracle import (
     TruncatedPolynomial,
-    _check,
     _pack,
     _packed_check,
     _packed_elementary,
@@ -222,7 +221,8 @@ class TestSuites:
         assert list(c.to_json_obj()) == ["identity", "instance", "status", "lhs", "rhs"]
 
     def test_failing_check_keeps_both_sides(self):
-        c = _check("product", "[1]*[]", mono((1,)), 2, expand_composition((2,), 2))
+        b = _width(2)
+        c = _packed_check("product", "[1]*[]", mono((1,)), 2, b, _pack(expand_composition((2,), 2), b))
         assert c.status == "fail"
         assert (c.lhs, c.rhs) == (str(expand_composition((1,), 2)), str(expand_composition((2,), 2)))
 
@@ -334,10 +334,13 @@ class TestPackedKernel:
         assert (c.lhs, c.rhs) == ("x1*x2^4", "x1^2")
 
     def test_check_with_polynomial_rhs(self):
-        c = _check("frobenius", "f3([1,2])", mono((3, 6)), 3, frobenius_poly(3, expand_composition((1, 2), 3)))
+        b = _width(6)
+        rhs = _pack(frobenius_poly(3, expand_composition((1, 2), 3)), b)
+        c = _packed_check("frobenius", "f3([1,2])", mono((3, 6)), 3, b, rhs)
         assert c.status == "pass"
         assert c.lhs == c.rhs == str(tuple_expansion((3, 6), 3))
-        c = _check("lambda", "lambda2([2])", mono((2, 2)), 3, tuple_expansion((4,), 3))
+        b = _width(4)
+        c = _packed_check("lambda", "lambda2([2])", mono((2, 2)), 3, b, _pack(tuple_expansion((4,), 3), b))
         assert c.status == "fail"
         assert (c.lhs, c.rhs) == (str(tuple_expansion((2, 2), 3)), str(tuple_expansion((4,), 3)))
 
