@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .compositions import _scan_int
+from .compositions import _check_index, _scan_int
 from .errors import ParseError
 
 Scalar = Union[int, Fraction]
@@ -209,8 +209,7 @@ class SparseTerms:
         return self.__mul__(other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_index(n, 0, "exponent must be a nonnegative integer")
         result = self._unit()
         for _ in range(n):
             result = result * self

@@ -16,6 +16,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .compositions import (
+    _check_index,
     enumerate_compositions,
     enumerate_elementary_lyndon,
     concat_power,
@@ -83,8 +84,7 @@ def verify_all(max_weight: int) -> list[OracleCheck]:
     oracle, express round trips, lambda leading terms, plethysm
     compatibility, the exponential identity, and freeness certificates for
     both generator families."""
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
+    _check_index(max_weight, 1, "max_weight must be >= 1")
     checks = [
         replace(c, identity=f"oracle/{c.identity}")
         for c in oracle_suite(max_weight, max_weight).checks
@@ -171,16 +171,14 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("lambda index must be >= 0")
+    _check_index(args.n, 0, "lambda index must be >= 0")
     comp = parse_composition(args.composition)
     _emit_element(lambda_n(args.n, QSymmElement.monomial(comp)), args)
     return 0
 
 
 def _cmd_frobenius(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("frobenius index must be >= 1")
+    _check_index(args.n, 1, "frobenius index must be >= 1")
     comp = parse_composition(args.composition)
     _emit_element(frobenius(args.n, QSymmElement.monomial(comp)), args)
     return 0
@@ -212,8 +210,7 @@ def _cmd_plethysm(args: argparse.Namespace) -> int:
 
 
 def _cmd_exp_check(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        raise ValueError("series order must be >= 1")
+    _check_index(args.order, 1, "series order must be >= 1")
     comp = parse_composition(args.composition)
     ok = exp_identity_check(comp, args.order)
     status = "pass" if ok else "fail"

@@ -44,6 +44,15 @@ def composition(parts: Iterable[int]) -> Composition:
     return c
 
 
+def _check_index(n: object, least: int, message: str) -> None:
+    """Raise ValueError(message) unless `n` is an int of at least `least`;
+    a bool or a float is not an index."""
+    if type(n) is not int:
+        raise ValueError(f"{message}, got {n!r}")
+    if n < least:
+        raise ValueError(message)
+
+
 def weight(c: Composition) -> int:
     """Sum of the parts; 0 for the empty composition."""
     return sum(c)
@@ -185,8 +194,7 @@ def concat(a: Composition, b: Composition) -> Composition:
 
 def concat_power(a: Composition, n: int) -> Composition:
     """`a` concatenated with itself `n` times."""
-    if n < 1:
-        raise ValueError("concatenation power must be >= 1")
+    _check_index(n, 1, "concatenation power must be >= 1")
     return a * n
 
 
@@ -259,8 +267,7 @@ def enumerate_compositions(w: int) -> list[Composition]:
     There are 2**(w-1) of them for w >= 1, and just the empty composition
     for w = 0.
     """
-    if w < 0:
-        raise ValueError("weight must be nonnegative")
+    _check_index(w, 0, "weight must be nonnegative")
     return list(_table(w)[0])
 
 
@@ -271,8 +278,7 @@ def enumerate_elementary_lyndon(max_weight: int) -> list[Composition]:
     >>> enumerate_elementary_lyndon(4)
     [(1,), (1, 2), (1, 3), (1, 1, 2)]
     """
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
+    _check_index(max_weight, 1, "max_weight must be >= 1")
     return [
         c
         for w in range(1, max_weight + 1)

@@ -41,6 +41,7 @@ from ._sparse import (
 )
 from .compositions import (
     Composition,
+    _check_index,
     cfl_factorize,
     composition,
     concat_power,
@@ -85,8 +86,7 @@ def make_monomial(factors: Iterable[Factor]) -> GeneratorMonomial:
         alpha = composition(alpha)
         if not alpha or not is_lyndon(alpha) or content_gcd(alpha) != 1:
             raise ValueError(f"{format_composition(alpha)} is not an elementary Lyndon word")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"lambda index must be >= 1 and an int, got {n!r}")
+        _check_index(n, 1, "lambda index must be >= 1 and an int")
         canon.append((alpha, n))
     return tuple(sorted(canon, key=_factor_key))
 
@@ -337,8 +337,7 @@ def enumerate_generator_monomials(w: int) -> list[GeneratorMonomial]:
     front of every monomial of the weight it leaves over, so factors ascend
     and each weight's list is already canonical, in blocks by first factor.
     """
-    if w < 1:
-        raise ValueError("weight must be >= 1")
+    _check_index(w, 1, "weight must be >= 1")
     symbols = sorted(
         ((alpha, n) for alpha in enumerate_elementary_lyndon(w) for n in range(1, w // weight(alpha) + 1)),
         key=_factor_key,
@@ -512,7 +511,9 @@ _GENERATOR_EXPANDERS: dict[str, Callable[[GeneratorMonomial], QSymmElement]] = {
 }
 
 
-@lru_cache(maxsize=None)
+# typed: `True == 1.0 == 1` share a hash, so an untyped memo would hand a
+# cached weight-1 certificate to either and skip the index check
+@lru_cache(maxsize=None, typed=True)
 def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCertificate:
     """Build the weight-`w` transition matrix and its exact determinant.
 
@@ -521,8 +522,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     ("product"). Raises ConsistencyError if the matrix is not square or the
     determinant is not +1 or -1, since either would falsify freeness.
     """
-    if w < 1:
-        raise ValueError("weight must be >= 1")
+    _check_index(w, 1, "weight must be >= 1")
     try:
         expander = _GENERATOR_EXPANDERS[generators]
     except KeyError:
@@ -596,8 +596,8 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
     alpha = composition(alpha)
     if order is None:
         order = n
-    if not 1 <= n <= order:
-        raise ValueError("need 1 <= n <= order")
+    _check_index(n, 1, "need 1 <= n <= order")
+    _check_index(order, n, "need 1 <= n <= order")
     make_monomial([(alpha, 1)])  # validates alpha is elementary Lyndon
     return _product_gens_up_to(alpha, order)[n - 1]
 
@@ -698,8 +698,7 @@ def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:
         factors: list[Factor] = []
         for f in entry["factors"]:
             power = f.get("power", 1)
-            if type(power) is not int or power < 1:
-                raise ValueError(f"factor power must be an int >= 1, got {power!r}")
+            _check_index(power, 1, "factor power must be an int >= 1")
             factors.extend([(composition(f["alpha"]), f["n"])] * power)
         mono = make_monomial(factors)
         acc[mono] = acc.get(mono, 0) + _parse_json_coeff(entry["coeff"], _scan_int)

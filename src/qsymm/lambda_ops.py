@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from ._sparse import Scalar, SparseTerms, _iadd_scaled
-from .compositions import Composition, composition
+from .compositions import Composition, _check_index, composition
 from .elements import QSymmElement
 from .errors import IntegralityError
 
@@ -68,8 +68,10 @@ class LambdaSeries:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> QSymmElement:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"series truncated at order {self.order}, asked for {n}")
+        message = f"series truncated at order {self.order}, asked for {n}"
+        _check_index(n, 0, message)
+        if n > self.order:
+            raise ValueError(message)
         return self.coefficients[n]
 
 
@@ -106,15 +108,6 @@ def _divide(acc: dict, n: int, exact: bool) -> dict:
                 f"{key}; lambda operations must stay integral"
             )
     return {key: q // n for key, q in acc.items()}
-
-
-def _check_index(n: object, least: int, message: str) -> None:
-    """Raise ValueError(message) unless `n` is an int of at least `least`;
-    a bool or a float is not an index."""
-    if type(n) is not int:
-        raise ValueError(f"{message}, got {n!r}")
-    if n < least:
-        raise ValueError(message)
 
 
 def lambda_series(a: QSymmElement, order: int) -> LambdaSeries:

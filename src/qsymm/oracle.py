@@ -18,7 +18,7 @@ from operator import add, lshift
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
-from .compositions import Composition, composition, enumerate_compositions, format_composition
+from .compositions import Composition, _check_index, composition, enumerate_compositions, format_composition
 from .elements import QSymmElement, quasi_shuffle
 from .lambda_ops import frobenius, lambda_n
 
@@ -26,8 +26,7 @@ ExponentVector = tuple[int, ...]
 
 
 def _variable_count(k: int) -> int:
-    if k < 0:
-        raise ValueError("variable count must be >= 0")
+    _check_index(k, 0, "variable count must be >= 0")
     return k
 
 
@@ -99,20 +98,6 @@ def _width(top: int) -> int:
 def _shifts(k: int, b: int) -> range:
     """Bit offset of each variable's field, x_1 first."""
     return range(b * (k - 1), -1, -b)
-
-
-def _max_exponent(p: TruncatedPolynomial) -> int:
-    return max((max(exps, default=0) for exps, _ in p.terms()), default=0)
-
-
-def _pack(p: TruncatedPolynomial, b: int) -> PackedTerms:
-    out: PackedTerms = {}
-    for exps, q in p.terms():
-        x = 0
-        for e in exps:
-            x = x << b | e
-        out[x] = q
-    return out
 
 
 def _unpack(terms: PackedTerms, k: int, b: int) -> TruncatedPolynomial:
@@ -198,18 +183,15 @@ def poly_mul(p: TruncatedPolynomial, q: TruncatedPolynomial) -> TruncatedPolynom
 
 def frobenius_poly(n: int, p: TruncatedPolynomial) -> TruncatedPolynomial:
     """Substitute x_j -> x_j**n, i.e. scale every exponent vector by n."""
-    if n < 1:
-        raise ValueError("frobenius index must be >= 1")
-    b = _width(n * _max_exponent(p))
-    return _unpack({n * x: q for x, q in _pack(p, b).items()}, p.k, b)
+    _check_index(n, 1, "frobenius index must be >= 1")
+    return TruncatedPolynomial._from_dict({tuple(n * e for e in exps): q for exps, q in p.terms()}, p.k)
 
 
 def elementary_of_monomials(n: int, alpha: Iterable[int], k: int) -> TruncatedPolynomial:
     """n-th elementary symmetric polynomial of the monomials in the
     expansion of `alpha`: every monomial is a line element, so this is the
     lambda power computed entirely on the polynomial side."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    _check_index(n, 0, "index must be >= 0")
     alpha = _expandable(alpha, k)
     b = _width(n * max(alpha, default=0))
     return _unpack(_packed_elementary(n, alpha, k, b), k, b)
@@ -309,9 +291,8 @@ def oracle_suite(max_weight: int, k: int) -> OracleReport:
 
     Exponents reach max_weight in products and at most 3 * max_weight in
     the Adams and lambda checks, so one packing width holds them all."""
-    if max_weight < 1:
-        raise ValueError("max_weight must be >= 1")
-    if k < max_weight:
+    _check_index(max_weight, 1, "max_weight must be >= 1")
+    if _variable_count(k) < max_weight:
         raise ValueError(f"need at least as many variables as the weight ({k} < {max_weight})")
     bits = _width(3 * max_weight)
     checks: list[OracleCheck] = []

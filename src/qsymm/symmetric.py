@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
-from .compositions import composition
+from .compositions import _check_index, composition
 from .elements import QSymmElement
 from .errors import IntegralityError
 from .lambda_ops import _divide, _newton_inverse, _newton_sum, frobenius, lambda_n, lambda_series
@@ -68,15 +68,13 @@ class SymmPoly(SparseTerms):
     @classmethod
     def e(cls, n: int) -> "SymmPoly":
         """The n-th elementary symmetric function (e_0 = 1)."""
-        if n < 0:
-            raise ValueError("index must be >= 0")
+        _check_index(n, 0, "index must be >= 0")
         return cls(E_BASIS, {(n,) if n else (): 1})
 
     @classmethod
     def p(cls, n: int) -> "SymmPoly":
         """The n-th power sum (p_0 = 1)."""
-        if n < 0:
-            raise ValueError("index must be >= 0")
+        _check_index(n, 0, "index must be >= 0")
         return cls(P_BASIS, {(n,) if n else (): 1})
 
     def __str__(self) -> str:
@@ -140,16 +138,15 @@ def plethysm_p(f: SymmPoly, m: int) -> SymmPoly:
     """Substitute p_k -> p_{k*m} in every term (plethysm by a power sum)."""
     if f.basis != P_BASIS:
         raise ValueError("plethysm_p needs a p-basis polynomial")
-    if type(m) is not int or m < 1:
-        raise ValueError(f"power-sum index must be an int >= 1, got {m!r}")
+    _check_index(m, 1, "power-sum index must be an int >= 1")
     return SymmPoly(P_BASIS, {tuple(k * m for k in part): q for part, q in f.terms()})
 
 
 def e_compose_p(n: int, m: int) -> SymmPoly:
     """The e-basis polynomial for the n-th elementary function composed with
     the m-th power sum; always has integer coefficients."""
-    if n < 1 or m < 1:
-        raise ValueError("indices must be >= 1")
+    _check_index(n, 1, "indices must be >= 1")
+    _check_index(m, 1, "indices must be >= 1")
     result = p_to_e(plethysm_p(e_to_p(SymmPoly.e(n)), m))
     if not result.is_integral():
         raise IntegralityError(

@@ -94,11 +94,12 @@ class TestUnaryCommands:
         "argv, last_line",
         [
             (("express", "[]"), "error: express needs a nonempty composition"),
+            (("expand", "e0([1])"), "error: lambda index must be >= 1 and an int"),
             (("plethysm-e-p", "-n", "0", "-m", "2"), "error: indices must be >= 1"),
             (("plethysm-e-p", "-n", "2", "-m", "0"), "error: indices must be >= 1"),
             (("certify", "--weight", "0"), "qsymm certify: error: argument --weight: must be >= 1, got 0"),
         ],
-        ids=["express-empty", "plethysm-n0", "plethysm-m0", "certify-weight0"],
+        ids=["express-empty", "expand-e0", "plethysm-n0", "plethysm-m0", "certify-weight0"],
     )
     def test_rejected_arguments(self, capsys, argv, last_line):
         code, out, err = invoke(capsys, *argv)

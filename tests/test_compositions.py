@@ -24,6 +24,8 @@ from qsymm.compositions import (
     _format_cached,
     _wll_rank,
 )
+from qsymm import generators, oracle, symmetric
+from qsymm.cli import verify_all
 from qsymm.elements import QSymmElement, format_element
 from qsymm.errors import ParseError
 from qsymm.generators import format_monomial
@@ -320,3 +322,59 @@ class TestTextFormat:
         hits = _format_cached.cache_info().hits
         assert format_composition((7, 7)) == "[7,7]"  # a list and a tuple share the entry
         assert _format_cached.cache_info().hits == hits + 1
+
+
+# One row per public integer argument checked by `_check_index` outside the
+# lambda layer, whose rows are in test_lambda_ops.
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: concat_power((1,), n),
+        lambda n: enumerate_compositions(n),
+        lambda n: enumerate_elementary_lyndon(n),
+        lambda n: QSymmElement.monomial((1,)) ** n,
+        lambda n: generators.make_monomial([((1,), n)]),
+        lambda n: generators.enumerate_generator_monomials(n),
+        lambda n: generators.freeness_certificate(n),
+        lambda n: generators.product_gen(n, (1,), 2),
+        lambda n: generators.product_gen(1, (1,), n),
+        lambda n: generators.generator_polynomial_from_json_obj(
+            [{"factors": [{"alpha": [1], "n": 1, "power": n}], "coeff": "1"}]
+        ),
+        lambda n: oracle.TruncatedPolynomial(n),
+        lambda n: oracle.expand_composition((1,), n),
+        lambda n: oracle.expand_element(QSymmElement.monomial((1,)), n),
+        lambda n: oracle.frobenius_poly(n, oracle.TruncatedPolynomial.one(1)),
+        lambda n: oracle.elementary_of_monomials(n, (1,), 1),
+        lambda n: oracle.oracle_suite(n, 2),
+        lambda n: oracle.oracle_suite(1, n),
+        lambda n: symmetric.SymmPoly.e(n),
+        lambda n: symmetric.SymmPoly.p(n),
+        lambda n: symmetric.plethysm_p(symmetric.SymmPoly.p(1), n),
+        lambda n: symmetric.e_compose_p(n, 1),
+        lambda n: symmetric.e_compose_p(1, n),
+        lambda n: verify_all(n),
+    ],
+    ids=[
+        "concat_power", "enumerate_compositions", "enumerate_elementary_lyndon", "pow",
+        "make_monomial", "enumerate_generator_monomials", "freeness_certificate", "product_gen-n",
+        "product_gen-order", "json-power", "TruncatedPolynomial", "expand_composition",
+        "expand_element", "frobenius_poly", "elementary_of_monomials", "oracle_suite-max_weight",
+        "oracle_suite-k", "SymmPoly.e", "SymmPoly.p", "plethysm_p", "e_compose_p-n", "e_compose_p-m",
+        "verify_all",
+    ],
+)
+def test_index_must_be_an_int(call, bad):
+    # a bool is not read as 1, and a float does not fail deep inside
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        call(bad)
+
+
+def test_rejected_certificate_weight_is_not_cached():
+    generators.freeness_certificate(1)
+    size = generators.freeness_certificate.cache_info().currsize
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            generators.freeness_certificate(bad)
+    assert generators.freeness_certificate.cache_info().currsize == size

@@ -204,8 +204,12 @@ class TestSeries:
         lambda n: elementary_gen(n, (1,)),
         lambda n: power_gen(n, (1,)),
         lambda n: exp_identity_check((1,), n),
+        lambda n: lambda_series(mono((1,)), 2).coefficient(n),
     ],
-    ids=["frobenius", "lambda_n", "lambda_series", "adams_from_lambda", "elementary_gen", "power_gen", "exp_identity_check"],
+    ids=[
+        "frobenius", "lambda_n", "lambda_series", "adams_from_lambda", "elementary_gen", "power_gen",
+        "exp_identity_check", "coefficient",
+    ],
 )
 def test_index_must_be_an_int(call, bad):
     # a bool is not read as 1, and a float does not fail deep inside

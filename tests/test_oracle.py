@@ -11,7 +11,6 @@ from qsymm.elements import QSymmElement, quasi_shuffle
 from qsymm.lambda_ops import frobenius, lambda_n
 from qsymm.oracle import (
     TruncatedPolynomial,
-    _pack,
     _packed_check,
     _packed_elementary,
     _packed_expansion,
@@ -233,6 +232,17 @@ class TestSuites:
 # packed them into ints: `tuple_expansion` is a sum over increasing index
 # tuples, products use the generic `SparseTerms` product, Adams operators
 # scale each exponent and lambda powers run the elementary loop.
+
+
+def _pack(p, b):
+    """`p`'s terms keyed by their packed exponent vectors at width b."""
+    out = {}
+    for exps, q in p.terms():
+        x = 0
+        for e in exps:
+            x = x << b | e
+        out[x] = q
+    return out
 
 
 def tuple_expansion(alpha, k):
