@@ -142,16 +142,13 @@ def verify_all(max_weight: int) -> list[OracleCheck]:
                 _vcheck("exp-identity", f"{format_composition(alpha)} order 4", ok)
             )
 
-    # The elementary family is asked for by weight alone, as library callers
-    # ask for it: `freeness_certificate(w)` and `freeness_certificate(w,
-    # "elementary")` are separate cache entries.
     for identity, family, top in (
-        ("certificate", (), max_weight),
-        ("certificate-product-form", ("product",), min(5, max_weight)),
+        ("certificate", "elementary", max_weight),
+        ("certificate-product-form", "product", min(5, max_weight)),
     ):
         for w in range(1, top + 1):
             try:
-                cert = freeness_certificate(w, *family)
+                cert = freeness_certificate(w, family)
                 ok, lhs = cert.is_unimodular, str(cert.determinant)
             except ConsistencyError as exc:
                 ok, lhs = False, str(exc)

@@ -100,13 +100,19 @@ def _monomial_sort_key(m: GeneratorMonomial) -> tuple:
     return tuple(_factor_key(f) for f in m)
 
 
+# each generator family's element for the factor (alpha, n)
+_GENERATOR_ELEMENTS: dict[str, Callable[[int, Composition], QSymmElement]] = {
+    "elementary": elementary_gen,
+    "product": lambda n, alpha: product_gen(n, alpha).expand(),
+}
+
+
 @lru_cache(maxsize=None)
-def _expand_monomial(m: GeneratorMonomial) -> QSymmElement:
+def _expand_monomial(m: GeneratorMonomial, family: str) -> QSymmElement:
     if not m:
         return QSymmElement.one()
-    acc = _expand_monomial(m[:-1])
     alpha, n = m[-1]
-    return acc * elementary_gen(n, alpha)
+    return _expand_monomial(m[:-1], family) * _GENERATOR_ELEMENTS[family](n, alpha)
 
 
 def _int_coeff(c: int) -> int:
@@ -157,7 +163,7 @@ class GeneratorPolynomial(SparseTerms):
 def _expand_by_dict(g: GeneratorPolynomial) -> QSymmElement:
     acc: dict[Composition, int] = {}
     for mono, c in g._terms.items():
-        _iadd_scaled(acc, _expand_monomial(mono)._terms, c)
+        _iadd_scaled(acc, _expand_monomial(mono, "elementary")._terms, c)
     return QSymmElement._from_dict(acc)
 
 
@@ -290,7 +296,7 @@ def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
 @lru_cache(maxsize=_TABLE_KEYS)
 def _expansion_vector(m: GeneratorMonomial) -> tuple[int, int | None, int]:
     """`_pack` of a generator monomial's expansion."""
-    return _pack(_expand_monomial(m)._terms, monomial_weight(m), _COMPOSITIONS)
+    return _pack(_expand_monomial(m, "elementary")._terms, monomial_weight(m), _COMPOSITIONS)
 
 
 @lru_cache(maxsize=_TABLE_KEYS)
@@ -498,22 +504,6 @@ class FreenessCertificate:
         return self.determinant in (1, -1)
 
 
-def _expand_product_form(mono: GeneratorMonomial) -> QSymmElement:
-    acc = QSymmElement.one()
-    for alpha, n in mono:
-        acc = acc * product_gen(n, alpha).expand()
-    return acc
-
-
-_GENERATOR_EXPANDERS: dict[str, Callable[[GeneratorMonomial], QSymmElement]] = {
-    "elementary": _expand_monomial,
-    "product": _expand_product_form,
-}
-
-
-# typed: `True == 1.0 == 1` share a hash, so an untyped memo would hand a
-# cached weight-1 certificate to either and skip the index check
-@lru_cache(maxsize=None, typed=True)
 def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCertificate:
     """Build the weight-`w` transition matrix and its exact determinant.
 
@@ -521,12 +511,11 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     generators themselves ("elementary") or their product-form counterparts
     ("product"). Raises ConsistencyError if the matrix is not square or the
     determinant is not +1 or -1, since either would falsify freeness.
+    The result is not cached: a caller that reuses a certificate keeps it.
     """
     _check_index(w, 1, "weight must be >= 1")
-    try:
-        expander = _GENERATOR_EXPANDERS[generators]
-    except KeyError:
-        raise ValueError(f"unknown generator family {generators!r}") from None
+    if generators not in _GENERATOR_ELEMENTS:
+        raise ValueError(f"unknown generator family {generators!r}")
     comps, index, _ = _table(w)
     monos = enumerate_generator_monomials(w)
     if len(comps) != len(monos):
@@ -536,7 +525,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         )
     columns: list[dict[int, int]] = []
     for mono in monos:
-        el = expander(mono)
+        el = _expand_monomial(mono, generators)
         # one pass: a composition of another weight has index -1, and a
         # coefficient in canonical form is integral exactly when it is an int
         column = {index.get(comp, -1): q for comp, q in el.terms() if type(q) is int}
@@ -591,7 +580,9 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
     Each g_n is the n-th lambda-power generator up to sign plus products of
     lower ones, so the two families generate the same ring. The defining
     product relation is the only reading under which that triangularity
-    holds; it is asserted by the test suite rather than assumed.
+    holds; it is asserted by the test suite rather than assumed. The
+    relation settles g_n at step n, so g_n does not depend on any
+    `order` >= n.
     """
     alpha = composition(alpha)
     if order is None:

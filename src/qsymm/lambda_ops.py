@@ -68,10 +68,9 @@ class LambdaSeries:
         return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> QSymmElement:
-        message = f"series truncated at order {self.order}, asked for {n}"
-        _check_index(n, 0, message)
+        _check_index(n, 0, "series index must be >= 0")
         if n > self.order:
-            raise ValueError(message)
+            raise ValueError(f"series truncated at order {self.order}, asked for {n}")
         return self.coefficients[n]
 
 

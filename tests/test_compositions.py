@@ -373,8 +373,7 @@ def test_index_must_be_an_int(call, bad):
 
 def test_rejected_certificate_weight_is_not_cached():
     generators.freeness_certificate(1)
-    size = generators.freeness_certificate.cache_info().currsize
     for bad in (True, 1.0):
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             generators.freeness_certificate(bad)
-    assert generators.freeness_certificate.cache_info().currsize == size
+    assert type(generators.freeness_certificate(1).weight) is int

@@ -469,15 +469,33 @@ class TestCertificates:
     )
     def test_malformed_expansion_is_a_consistency_error(self, monkeypatch, malform):
         bad = enumerate_generator_monomials(3)[2]
+        expand_monomial = generators._expand_monomial
 
-        def expander(mono):
-            el = generators._expand_monomial(mono)
+        def expander(mono, family):
+            el = expand_monomial(mono, family)
             return malform(el) if mono == bad else el
 
-        monkeypatch.setitem(generators._GENERATOR_EXPANDERS, "elementary", expander)
+        monkeypatch.setattr(generators, "_expand_monomial", expander)
         message = f"expansion of {format_monomial(bad)} is malformed"
         with pytest.raises(ConsistencyError, match=re.escape(message)):
-            freeness_certificate.__wrapped__(3)
+            freeness_certificate(3)
+
+    def test_family_defaults_to_elementary(self):
+        for w in range(1, 5):
+            assert freeness_certificate(w) == freeness_certificate(w, "elementary")
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown generator family 'lyndon'"):
+            freeness_certificate(2, "lyndon")
+
+    def test_expand_reuses_the_certificate_expansions(self):
+        # the certificate and `expand` key the elementary expansions alike
+        _expansion_vector.cache_clear()
+        freeness_certificate(5)
+        size = generators._expand_monomial.cache_info().currsize
+        g = GeneratorPolynomial._from_dict({m: 1 for m in enumerate_generator_monomials(5)})
+        assert g.expand() == _expand_by_dict(g)
+        assert generators._expand_monomial.cache_info().currsize == size
 
     def test_certificate_json_shape(self):
         cert = freeness_certificate(3)
@@ -526,6 +544,18 @@ class TestProductFormGenerators:
         for k in range(1, order + 1):
             expected = gen(alpha, k) if k % 2 == 0 else -gen(alpha, k)
             assert series[k] == expected
+
+    def test_product_expansion_matches_factor_loop(self):
+        # the plain loop over the factors, without the prefix memo
+        def reference(mono):
+            acc = QSymmElement.one()
+            for alpha, n in mono:
+                acc = acc * product_gen(n, alpha).expand()
+            return acc
+
+        for w in range(1, 7):
+            for mono in enumerate_generator_monomials(w):
+                assert generators._expand_monomial(mono, "product") == reference(mono)
 
     def test_product_certificates_unimodular(self):
         for w in range(1, 6):

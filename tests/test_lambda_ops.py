@@ -149,6 +149,15 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.coefficient(4)
 
+    def test_coefficient_index_is_not_a_truncation(self):
+        s = lambda_series(mono((1,)), 2)
+        with pytest.raises(ValueError) as info:
+            s.coefficient(2.0)
+        assert "truncated" not in str(info.value)
+        assert str(info.value).count("2.0") == 1
+        with pytest.raises(ValueError, match=r"^series truncated at order 2, asked for 3$"):
+            s.coefficient(3)
+
     def test_adams_round_trip(self):
         for c in nonempty_up_to(3):
             s = lambda_series(mono(c), 4)

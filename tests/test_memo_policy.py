@@ -8,6 +8,7 @@ the one written here.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,7 +39,6 @@ MEMOS = {
     # one table per weight 0-12, both bases: 0.8 MiB full, counting the
     # monomials it enumerates; the compositions' index is `_weight_table`'s
     "qsymm.generators._slot_table": 13,
-    "qsymm.generators.freeness_certificate": None,
     "qsymm.lambda_ops._series_box": 4096,
     "qsymm.oracle._packed_expansion": 4096,
     "qsymm.symmetric._e_in_p": None,
@@ -51,14 +51,29 @@ def _modules():
     return [importlib.import_module(name) for name in names]
 
 
-def test_every_memo_is_an_lru_cache_of_known_bound():
+def _memos():
     found = {}
     for mod in _modules():
         for attr, value in vars(mod).items():
             # count each cache where it is defined, not where it is imported
             if hasattr(value, "cache_info") and getattr(value, "__module__", None) == mod.__name__:
-                found[f"{mod.__name__}.{attr}"] = value.cache_info().maxsize
-    assert found == MEMOS
+                found[f"{mod.__name__}.{attr}"] = value
+    return found
+
+
+def test_every_memo_is_an_lru_cache_of_known_bound():
+    assert {name: memo.cache_info().maxsize for name, memo in _memos().items()} == MEMOS
+
+
+def test_no_memo_parameter_has_a_default():
+    # a default makes `f(x)` and `f(x, default)` two keys for one value
+    defaults = [
+        f"{name}({param.name})"
+        for name, memo in _memos().items()
+        for param in inspect.signature(memo.__wrapped__).parameters.values()
+        if param.default is not param.empty
+    ]
+    assert defaults == []
 
 
 def test_no_module_reads_the_environment():
