@@ -28,9 +28,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._sparse import (
     SparseTerms,
@@ -400,62 +400,81 @@ def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
     given sparsely as {column: nonzero entry} with columns in range(n).
 
     Eliminates with +1/-1 pivots only, so no step divides: each step takes
-    the column with the fewest nonzeros that holds a unit entry and, in it,
-    the shortest row with a unit entry (a Markowitz-style choice that keeps
-    fill-in low). Whatever is left without a unit pivot goes to
-    `det_bareiss`. The dicts are consumed.
+    the first column, in index order, with the fewest nonzeros that holds a
+    unit entry and, in it, the shortest row with a unit entry, lowest index
+    first. Short pivots keep down the row-update work each step costs.
+    Whatever is left without a unit pivot goes to `det_bareiss`. Each column
+    is indexed by one int whose bit r is set when row r has a nonzero there,
+    and by its count of such rows. The dicts are consumed.
     """
     n = len(rows)
-    col_rows: dict[int, set[int]] = {c: set() for c in range(n)}
+    masks = [0] * n
+    # the columns not yet eliminated, in index order, with their counts
+    counts = dict.fromkeys(range(n), 0)
     for r, row in enumerate(rows):
+        bit = 1 << r
         for c in row:
-            col_rows[c].add(r)
+            masks[c] |= bit
+            counts[c] += 1
     det = 1
     pivot_col: dict[int, int] = {}
-    while col_rows:
+    while counts:
         best_col = -1
         best_len = n + 1
-        for c, rs in col_rows.items():
-            length = len(rs)
+        for c, length in counts.items():
             if not length:
                 return 0
-            if length < best_len and any(rows[r][c] in (1, -1) for r in rs):
+            if length < best_len and any(rows[r][c] in (1, -1) for r in _set_bits(masks[c])):
                 best_col, best_len = c, length
                 if length == 1:
                     break
         if best_col < 0:
             break
         c = best_col
-        rs = col_rows.pop(c)
-        r = min((s for s in rs if rows[s][c] in (1, -1)), key=lambda s: (len(rows[s]), s))
-        rs.discard(r)
+        del counts[c]
+        # the bits ascend, so `min` keeps the lowest of the shortest rows
+        r = min((s for s in _set_bits(masks[c]) if rows[s][c] in (1, -1)), key=lambda s: len(rows[s]))
+        bit = 1 << r
         pivot_row = rows[r]
         p = pivot_row.pop(c)
         det *= p
         pivot_col[r] = c
         for k in pivot_row:
-            col_rows[k].discard(r)
-        for s in rs:
+            masks[k] ^= bit
+            counts[k] -= 1
+        for s in _set_bits(masks[c] ^ bit):
             row = rows[s]
             f = row.pop(c) * p
+            row_bit = 1 << s
             for k, v in pivot_row.items():
-                x = row.get(k, 0) - f * v
-                if x:
-                    if k not in row:
-                        col_rows[k].add(s)
+                x = row.get(k)
+                if x is None:  # fill-in
+                    row[k] = -f * v
+                    masks[k] ^= row_bit
+                    counts[k] += 1
+                elif x := x - f * v:
                     row[k] = x
-                else:
+                else:  # cancellation
                     del row[k]
-                    col_rows[k].discard(s)
+                    masks[k] ^= row_bit
+                    counts[k] -= 1
             if not row:
                 return 0
-    if col_rows:
+    if counts:
         rest_rows = [r for r in range(n) if r not in pivot_col]
-        rest_cols = sorted(col_rows)
+        rest_cols = list(counts)
         for r, c in zip(rest_rows, rest_cols):
             pivot_col[r] = c
         det *= det_bareiss([[rows[r].get(c, 0) for c in rest_cols] for r in rest_rows])
     return _permutation_sign(pivot_col) * det
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _permutation_sign(perm: dict[int, int]) -> int:
@@ -479,13 +498,34 @@ def _permutation_sign(perm: dict[int, int]) -> int:
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Per-weight witness that the generator monomials form a basis: the
-    transition matrix to the composition basis with determinant +1 or -1."""
+    transition matrix to the composition basis with determinant +1 or -1.
+
+    The matrix is kept as its sparse columns, one per generator monomial:
+    (row indices, entries), nonzero entries only. The dense `matrix` is
+    built from them on first read and kept."""
 
     weight: int
     determinant: int
     row_order: tuple[Composition, ...]
     col_order: tuple[GeneratorMonomial, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix: row i for `row_order[i]`, column j for
+        `col_order[j]`."""
+        flat, size = self._row_major(0, int), self.size
+        return tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
+
+    def _row_major(self, zero: object, entry: Callable[[int], object]) -> list:
+        """The entries row by row in one list: `zero` for each zero entry
+        and `entry(q)` for each nonzero q."""
+        size = self.size
+        flat = [zero] * (size * size)
+        for j, (index, entries) in enumerate(self.columns):
+            for i, q in zip(index, entries):
+                flat[i * size + j] = entry(q)
+        return flat
 
     @property
     def size(self) -> int:
@@ -532,11 +572,8 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         if len(column) < len(el) or -1 in column:
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
         columns.append(column)
-    rows = [[0] * len(columns) for _ in comps]
-    for j, col in enumerate(columns):
-        for i, q in col.items():
-            rows[i][j] = q
-    matrix = tuple(map(tuple, rows))
+    # the elimination consumes the dicts, so keep the columns first
+    sparse = tuple((tuple(col), tuple(col.values())) for col in columns)
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
     det = _det_unit_pivot(columns)
@@ -549,7 +586,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         determinant=det,
         row_order=comps,
         col_order=tuple(monos),
-        matrix=matrix,
+        columns=sparse,
     )
 
 
@@ -698,7 +735,8 @@ def generator_polynomial_from_json_obj(obj: list[dict]) -> GeneratorPolynomial:
 
 def certificate_to_json_obj(cert: FreenessCertificate) -> dict:
     """Certificate JSON: weight, size, determinant and matrix entries as
-    decimal strings, row-major."""
+    decimal strings, row-major. The entries are written from the sparse
+    columns, so no dense matrix is built."""
     return {
         "weight": cert.weight,
         "size": cert.size,
@@ -708,5 +746,5 @@ def certificate_to_json_obj(cert: FreenessCertificate) -> dict:
             [{"alpha": list(alpha), "n": n} for alpha, n in mono]
             for mono in cert.col_order
         ],
-        "matrix": [str(v) for row in cert.matrix for v in row],
+        "matrix": cert._row_major("0", str),
     }

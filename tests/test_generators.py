@@ -1,9 +1,13 @@
 """Generator polynomials, the constructive rewriting, and certificates."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from qsymm.compositions import (
 from qsymm.elements import QSymmElement
 from qsymm import generators
 from qsymm.errors import ConsistencyError, ParseError
+from qsymm.lambda_ops import elementary_gen
 from qsymm.generators import (
     _COMPOSITIONS,
     _MONOMIALS,
@@ -459,6 +464,47 @@ class TestCertificates:
                     vector[col_index[mono]] = c
                 assert [int(x) for x in solution] == vector
 
+    def test_matrix_matches_factor_by_factor_products(self):
+        # each column multiplied out left to right, one factor at a time,
+        # with no shared prefix expansions
+        factor = {
+            "elementary": elementary_gen,
+            "product": lambda n, alpha: product_gen(n, alpha).expand(),
+        }
+        for family, max_weight in (("elementary", 8), ("product", 5)):
+            for w in range(1, max_weight + 1):
+                cert = freeness_certificate(w, family)
+                assert "matrix" not in vars(cert)  # built on first read
+                columns = []
+                for mono in cert.col_order:
+                    el = QSymmElement.one()
+                    for alpha, n in mono:
+                        el = el * factor[family](n, alpha)
+                    columns.append([el.coefficient(beta) for beta in cert.row_order])
+                assert cert.matrix == tuple(zip(*columns))
+                assert vars(cert)["matrix"] is cert.matrix
+
+    def test_weight_ten_traced_peak(self):
+        # The weights below 10 fill the expansion memo first, as the
+        # benchmark's pass does. A fresh interpreter, so that no earlier
+        # test's memo entries lower the peak; tracing starts just before the
+        # call, so the peak counts only what the call allocates. It reads
+        # 10.5-10.7 MiB on CPython 3.10-3.13, so the bound leaves 21 %
+        # headroom; a dense copy of the matrix in the call, or sets of row
+        # indices in the elimination, cross it.
+        probe = (
+            "import tracemalloc\n"
+            "from qsymm import freeness_certificate\n"
+            "for w in range(1, 10):\n"
+            "    freeness_certificate(w)\n"
+            "tracemalloc.start()\n"
+            "freeness_certificate(10)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(generators.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert int(proc.stdout) < 13 * 2**20
+
     @pytest.mark.parametrize(
         "malform",
         [
@@ -503,6 +549,8 @@ class TestCertificates:
         assert obj["weight"] == 3
         assert obj["size"] == 4
         assert obj["determinant"] in ("1", "-1")
+        assert "matrix" not in vars(cert)  # written from the sparse columns
+        assert obj["matrix"] == [str(v) for row in cert.matrix for v in row]
         assert len(obj["matrix"]) == 16
         assert all(isinstance(v, str) for v in obj["matrix"])
         text = json.dumps(obj)

@@ -11,7 +11,8 @@ weight-256 bound of the per-pair route and far above it, mixed-weight
 rational products of weight 12 and 13 (either side of the per-pair route's
 code tables), an expansion whose coefficients overflow the packed weight
 vectors' 64-bit slots, the JSON `express` of a weight-10 composition, and
-malformed literals.
+malformed literals. Digests pin `verify-all --max-weight 7 --json` and
+the certificates of weights 9 and 10.
 """
 
 import hashlib
@@ -60,12 +61,25 @@ def test_cli_output_matches_corpus(case, tmp_path):
 VERIFY_ALL_7_SHA256 = "eca71d293f41f1523478c8ed67451be8eb68af91cb3eeeeb4896f738c704b666"
 
 
-def test_verify_all_weight_7_digest(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsymm.cli", "verify-all", "--max-weight", "7", "--json", "-"],
-        cwd=tmp_path,
-        env=_env(),
-        capture_output=True,
-    )
+def _stdout_digest(argv, cwd):
+    proc = subprocess.run([sys.executable, "-m", "qsymm.cli", *argv], cwd=cwd, env=_env(), capture_output=True)
     assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_7_SHA256
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_verify_all_weight_7_digest(tmp_path):
+    assert _stdout_digest(["verify-all", "--max-weight", "7", "--json", "-"], tmp_path) == VERIFY_ALL_7_SHA256
+
+
+# `certify --weight W --json -` above the corpus's weights 1-6: weight 9 is
+# the first whose unit-pivot elimination leaves a Bareiss remainder, and
+# weight 10 is the benchmark's largest certificate.
+CERTIFY_SHA256 = {
+    9: "49e14d5819503baff19eb4ab82de1539bd4204f4b0d85cf2e7326bfc043876d3",
+    10: "b57f3bbaa2accce4bcc277dce11556e190486d7000c23181bea1cb11e780fb01",
+}
+
+
+@pytest.mark.parametrize("w", sorted(CERTIFY_SHA256))
+def test_certify_digest(w, tmp_path):
+    assert _stdout_digest(["certify", "--weight", str(w), "--json", "-"], tmp_path) == CERTIFY_SHA256[w]
