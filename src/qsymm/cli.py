@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .compositions import (
     _check_index,
@@ -51,23 +52,32 @@ from .oracle import OracleCheck, oracle_suite
 from .symmetric import e_compose_p, format_symm, plethysm_compat_check
 
 
-def _write(text: str, path: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output for no path or `-`, else the file at `path`."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            yield fh
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _write(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+
+
+def _write_json(obj, path: str | None) -> None:
+    """`json.dumps(obj, indent=2)` and a newline, written chunk by chunk as
+    the encoder makes them rather than joined into one string first."""
+    with _output(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _emit_element(el: QSymmElement, args: argparse.Namespace) -> None:
     if args.format == "json":
-        _write(_dump_json(element_to_json_obj(el)), args.output)
+        _write_json(element_to_json_obj(el), args.output)
     else:
         _write(format_element(el), args.output)
 
@@ -184,7 +194,7 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
 def _cmd_express(args: argparse.Namespace) -> int:
     g = express(parse_composition(args.composition))
     if args.format == "json":
-        _write(_dump_json(generator_polynomial_to_json_obj(g)), args.output)
+        _write_json(generator_polynomial_to_json_obj(g), args.output)
     else:
         _write(format_generator_polynomial(g), args.output)
     return 0
@@ -200,7 +210,7 @@ def _cmd_plethysm(args: argparse.Namespace) -> int:
     f = e_compose_p(args.n, args.m)
     if args.format == "json":
         obj = [{"partition": list(part), "coeff": str(q)} for part, q in f.terms()]
-        _write(_dump_json(obj), args.output)
+        _write_json(obj, args.output)
     else:
         _write(format_symm(f), args.output)
     return 0
@@ -218,7 +228,7 @@ def _cmd_exp_check(args: argparse.Namespace) -> int:
             "order": args.order,
             "status": status,
         }
-        _write(_dump_json(obj), args.output)
+        _write_json(obj, args.output)
     else:
         _write(
             f"exponential identity for {format_composition(comp)} "
@@ -231,7 +241,7 @@ def _cmd_exp_check(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = freeness_certificate(args.weight, args.generators)
     if args.json is not None:
-        _write(_dump_json(certificate_to_json_obj(cert)), args.json)
+        _write_json(certificate_to_json_obj(cert), args.json)
     print(
         f"weight {cert.weight}: {cert.size} monomials, {cert.size} compositions, "
         f"determinant {cert.determinant:+d}"
@@ -242,7 +252,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     report = oracle_suite(args.max_weight, args.vars)
     if args.json is not None:
-        _write(_dump_json(report.to_json_obj()), args.json)
+        _write_json(report.to_json_obj(), args.json)
     print(report.summary())
     for c in report.failures:
         print(f"  FAIL {c.identity} {c.instance}")
@@ -252,7 +262,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     checks = verify_all(args.max_weight)
     if args.json is not None:
-        _write(_dump_json([c.to_json_obj() for c in checks]), args.json)
+        _write_json([c.to_json_obj() for c in checks], args.json)
     by_suite: dict[str, list[OracleCheck]] = {}
     for c in checks:
         by_suite.setdefault(c.identity.split("/")[0], []).append(c)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -50,33 +50,73 @@ from .errors import ParseError
 
 # The per-pair route memoizes quasi-shuffles of packed composition codes
 # (`compositions._encode`). Ints make cheap dict keys, as hashing one walks
-# no tuple; giving a code a new first part is one add (see
-# `_shuffle_codes`); and the wll rank follows from the code alone (see
-# `compositions._decode`). Codes stay small because only products of weight
-# at most _RANK_MAX_WEIGHT take this route.
+# no tuple; a code's set bits are the suffix weights of its composition, so
+# giving a code a new first part is one add of the new weight's bit; and the
+# wll rank follows from the code alone (see `compositions._decode`). Codes
+# stay small because only products of weight at most _RANK_MAX_WEIGHT take
+# this route. Only the pairs asked for are memoized, the smaller word first:
+# the certificates of weight <= 10 ask for 1782 of them.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...]:
     """Quasi-shuffle of two basis compositions as (code, multiplicity) pairs.
 
-    Each of the three recursive branches puts one new part in front of a
-    sub-shuffle of total weight W. Whatever that part p is, it turns the
-    sub-shuffle's sentinel bit W into a part end and sets the new sentinel
-    at W + p = weight(a) + weight(b), so every branch adds the same bit."""
-    if b < a:  # commutative; canonicalize to halve the cache
-        a, b = b, a
-    if not a:
-        return ((_encode(b), 1),)
-    acc: dict[int, int] = {}
-    get = acc.get
-    top = 1 << (sum(a) + sum(b))
-    tail_a, tail_b = a[1:], b[1:]
-    for rest_a, rest_b in ((tail_a, b), (a, tail_b), (tail_a, tail_b)):
-        for code, m in _shuffle_codes(rest_a, rest_b):
-            code += top
-            acc[code] = get(code, 0) + m
-    return tuple(acc.items())
+    A term of a * b is a lattice path from (0, 0) to (len a, len b) whose
+    steps take a's next part, b's next part or the sum of both (Hoffman,
+    "Quasi-shuffle products", 2000). Its suffix weights are A_i + B_j over
+    the cells (i, j) the path visits, where A_i is the weight of a[i:] and
+    B_j that of b[j:], so its code is the sum of 1 << (A_i + B_j) over them.
+    One pass over the cells, from the last to the first, lists the codes of
+    the paths from each cell: its bit plus those of its three successors,
+    one per path, so repeated words are counted once, at the end. A word
+    of one or two parts needs no pass: each part goes in at a suffix weight
+    of the other word, as a part of its own or added to the part that
+    starts there, the first part no later than the second."""
+    if len(a) < len(b):
+        a, b = b, a  # b is the shorter word, the row of the pass
+    if not b:
+        return ((_encode(a), 1),)
+    if len(b) == 1:
+        p, code = b[0], _encode(a)
+        counts: dict[int, int] = {}
+        for t in accumulate(reversed(a), initial=0):
+            ins = (code & ((2 << t) - 1)) | (code >> t << (t + p))
+            counts[ins] = counts.get(ins, 0) + 1  # p beside an equal part repeats a word
+            if t:
+                counts[ins ^ 1 << t] = 1
+        return tuple(counts.items())
+    if len(b) == 2:
+        # The same with q = b[1] at t and p = b[0] at u >= t: the bits of a
+        # up to t stay, those from t to u move up by q, the rest by p + q.
+        p, q = b
+        code = _encode(a)
+        ts = list(accumulate(reversed(a), initial=0))
+        words = []
+        add = words.append
+        for i, t in enumerate(ts):
+            low = code & ((2 << t) - 1)
+            for u in ts[i:]:
+                ins = low | ((code & ((2 << u) - 1)) >> t << (t + q)) | (code >> u << (u + p + q))
+                for c in (ins, ins ^ 1 << t) if t else (ins,):  # q alone, or added to a
+                    add(c)
+                    if u > t:
+                        add(c ^ 1 << (u + q))  # p added to a
+        return tuple(Counter(words).items())
+    tops = [1 << t for t in accumulate(reversed(b), initial=0)]  # 1 << B_j, from j = len b down
+    row = [[c] for c in accumulate(tops)]  # a exhausted: the codes of b's suffixes
+    code_a, weight_a = 1, 0
+    for x in reversed(a):
+        weight_a += x
+        code_a |= 1 << weight_a
+        below = [code_a]  # b exhausted
+        new_row = [below]
+        for k in range(1, len(tops)):
+            # take x first, b's part first, or their sum
+            below = list(map((tops[k] << weight_a).__add__, chain(row[k], below, row[k - 1])))
+            new_row.append(below)
+        row = new_row
+    return tuple(Counter(row[-1]).items())
 
 
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) -> dict[Composition, Scalar]:
@@ -89,7 +129,7 @@ def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) 
     for c1, q1 in a._terms.items():
         for c2, q2 in b._terms.items():
             q12 = q1 * q2
-            for code, m in _shuffle_codes(c1, c2):
+            for code, m in _shuffle_codes(c1, c2) if c1 <= c2 else _shuffle_codes(c2, c1):
                 acc[code] = get(code, 0) + q12 * m
     return _from_codes(acc)
 
@@ -103,7 +143,7 @@ def _mul_by_table(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) 
     for c1, q1 in ta.items():
         for c2, q2 in tb.items():
             q12 = q1 * q2
-            for code, m in _shuffle_codes(c1, c2):
+            for code, m in _shuffle_codes(c1, c2) if c1 <= c2 else _shuffle_codes(c2, c1):
                 table[code] += q12 * m
     out: dict[Composition, Scalar] = {}
     for w in range(top, sum(next(reversed(ta))) + sum(next(reversed(tb))) - 1, -1):
@@ -224,16 +264,35 @@ def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]
 
 # The per-pair work above which a product of two elements takes the trie
 # route; fitted on the corpus in `__mul__`.
-_TRIE_MIN_WORK = 10**5
+_TRIE_MIN_WORK = 16_000
 
-# Large products are cached whole; entries can be megabytes, so the cap is
-# small and the least recently used pair goes first.
-_PRODUCT_CACHE_CAP = 512
+# Trie products are cached whole, the least recently used pair going first,
+# unless they have more than _PRODUCT_CACHE_MAX_TERMS terms, as many as the
+# compositions of weight 16. The square of lambda_4([1,1]) has 30808 terms
+# and holds 2.1 MiB beside the `_decode` entries of its words, so 128 such
+# products hold about 270 MiB. A term limit of 2**11 with 512 entries would
+# hold less, but `test_ring_homomorphism` asks for most of its 28 products
+# of about 32k terms twice, and recomputing them doubled its time; with 64
+# entries it recomputed 17 of its 81 products.
+_PRODUCT_CACHE_CAP = 128
+_PRODUCT_CACHE_MAX_TERMS = 1 << 15
+
+
+class _Uncached(Exception):
+    """Carries a product too large to cache out of `_trie_product`, since an
+    lru_cache keeps no entry for a call that raises."""
+
+    def __init__(self, product: "QSymmElement"):
+        super().__init__()
+        self.product = product
 
 
 @lru_cache(maxsize=_PRODUCT_CACHE_CAP)
 def _trie_product(a: "QSymmElement", b: "QSymmElement") -> "QSymmElement":
-    return QSymmElement._from_sorted(_mul_trie(a, b))
+    product = QSymmElement._from_sorted(_mul_trie(a, b))
+    if len(product) > _PRODUCT_CACHE_MAX_TERMS:
+        raise _Uncached(product)
+    return product
 
 
 class QSymmElement(SparseTerms):
@@ -297,25 +356,31 @@ class QSymmElement(SparseTerms):
         # worth caching. No word pair does more work than the two longest
         # words, so that bound settles most products without the histograms.
         #
-        # The threshold was fitted on recorded products with an earlier trie
-        # kernel. Each route timed in its own process, with this kernel and
-        # the per-pair finish below, in turn with the commit before that
-        # finish (medians of 5, Python 3.11.7, 2 vCPUs). Single runs spread
-        # by up to a third; within that, both commits read the same on every
-        # row but certify and session, where the per-pair route got faster.
-        # Totals, per-pair only / trie only / this rule / the better route
-        # of each product:
-        #   certify, w = 1..10 (1303 products)   0.130 / 0.427 / 0.133 / 0.119 s
-        #   verify_all(7) (1439)                 0.076 / 0.119 / 0.093 / 0.052 s
-        #   9 x 9 terms, one 5-part word (561)   1.316 / 2.697 / 1.377 / 1.272 s
+        # The cut is fitted on cold cost, with the `_shuffle_codes` above.
+        # Cold, the trie was faster on nearly every recorded product with
+        # 4.4e3 <= P <= 2.7e5, by 1.0-4.7x: the three lambda products of
+        # `exp_identity_check((1,1,1), 4)` (P = 16081, 53684, 55295; 63, 136
+        # and 149 terms times one) took 7.6 / 18.8 / 19.1 ms per-pair and
+        # 3.6 / 6.0 / 6.2 ms on the trie. Warm, per-pair was 2-10x faster, and
+        # a certificate's products share their word pairs (1782 pairs for
+        # 7347 asks at weight <= 10). Those products have P <= 9984, a
+        # 128 x 1 column shape is still faster per-pair at P = 14464, even
+        # cold, and the session workload stays below 5000, so the cut sits
+        # above 14464 and below 16081. Totals of the recorded products,
+        # replayed in order from empty memos (best of 3-9 in each of two
+        # runs, Python 3.11.7, 2 vCPUs), per-pair only / trie only / a cut
+        # at 10**5 / this rule:
+        #   certify, w = 1..10 (1303 products)   0.064-0.065 / 0.19-0.20 /
+        #                                        0.062-0.063 / 0.064-0.067 s
+        #   verify_all(7) (1409)                 0.039-0.044 / 0.063-0.066 /
+        #                                        0.039-0.040 / 0.033-0.034 s
         #   lambda_i([1,1]) * lambda_j([1,1]),
-        #     i, j <= 4 (16)                     8.648 / 0.663 / 0.889 / 0.671 s
-        #   lambda_n(n, [alpha]), n <= 4,
-        #     weight(alpha) <= 4 (150)           1.766 / 0.639 / 0.605 / 0.625 s
-        #   perfbench session, seed 1 (3126)     0.276 / 1.382 / 0.274 / 0.259 s
-        # Every threshold from 55295 to 142023 makes the same choices there.
-        # There only lambda products reach the trie, lambda_4([1,1])**2
-        # among them: 0.70 s there against 8.7 s per-pair.
+        #     i, j <= 4, and lambda_n(n, [alpha]),
+        #     n, weight(alpha) <= 4 (160)        8.6-9.4 / 0.64-0.75 /
+        #                                        0.68-0.78 / 0.67-0.75 s
+        #   perfbench session, seed 1 (3126)     0.147-0.158 / 0.74-0.76 /
+        #                                        0.146-0.148 / 0.150-0.152 s
+        # The cuts from 9984 to 16080 make the same choices there.
         #
         # The per-pair route packs compositions into codes one bit per unit
         # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
@@ -340,9 +405,12 @@ class QSymmElement(SparseTerms):
             if bound <= _TRIE_MIN_WORK or _pair_work(a, b) <= _TRIE_MIN_WORK:
                 by_table = top <= _TABLE_MAX_WEIGHT and 1 << top <= 2 * bound
                 return QSymmElement._from_sorted(_mul_pairwise(self, other, by_table))
-        if hash(self) <= hash(other):  # commutative: one entry per pair
-            return _trie_product(self, other)
-        return _trie_product(other, self)
+        try:
+            if hash(self) <= hash(other):  # commutative: one entry per pair
+                return _trie_product(self, other)
+            return _trie_product(other, self)
+        except _Uncached as large:
+            return large.product
 
     def __str__(self) -> str:
         return format_element(self)

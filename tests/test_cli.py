@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qsymm.cli import run, verify_all
+from qsymm.generators import certificate_to_json_obj, freeness_certificate
 from qsymm.lambda_ops import clear_memo
 
 
@@ -210,6 +211,27 @@ class TestDeterminism:
         invoke(capsys, "certify", "--weight", "5", "--json", str(a))
         invoke(capsys, "certify", "--weight", "5", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("target", ["-", "file"])
+    @pytest.mark.parametrize("command", ["certify", "verify-all"])
+    def test_streamed_json_matches_dumps(self, capsys, tmp_path, command, target):
+        # JSON is written chunk by chunk; the bytes are those of one
+        # json.dumps(..., indent=2) and a newline
+        if command == "certify":
+            argv = ("certify", "--weight", "5")
+            obj = certificate_to_json_obj(freeness_certificate(5))
+        else:
+            argv = ("verify-all", "--max-weight", "3")
+            obj = [c.to_json_obj() for c in verify_all(3)]
+        expected = json.dumps(obj, indent=2) + "\n"
+        path = tmp_path / "out.json"
+        code, out, _ = invoke(capsys, *argv, "--json", "-" if target == "-" else str(path))
+        assert code == 0
+        if target == "-":
+            # the summary follows the JSON on standard output
+            assert out == expected + invoke(capsys, *argv)[1]
+        else:
+            assert path.read_bytes() == expected.encode("ascii")
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "el.json"

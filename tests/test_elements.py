@@ -12,6 +12,7 @@ from functools import cache
 
 import pytest
 
+from qsymm import elements
 from qsymm.compositions import _decode, _encode, _weight_table, _wll_rank, enumerate_compositions, wll_key
 from qsymm.elements import (
     QSymmElement,
@@ -191,7 +192,7 @@ SHORT_9 = (3, 3, 3, 2, 2, 2, 2, 1)  # eight short words beside one long word
 class TestRouteChoice:
     """A product takes per-pair shuffles unless the per-pair work, the
     quasi-shuffle terms of every word pair counted with multiplicity,
-    exceeds 10**5; only the trie route goes through the product cache."""
+    exceeds 16000; only the trie route goes through the product cache."""
 
     @pytest.mark.parametrize(
         "terms, longest, trie",
@@ -199,19 +200,24 @@ class TestRouteChoice:
             # 128 terms times one term, a shape of the certificates' column
             # products: 128 * D(7, 2) = 14464
             ((128, 1), ((7,) * 128, (2,)), False),
-            # 108545 + 15 + 17 + 3 = 108580, just above 10**5
-            ((2, 2), ((7, 1), (8, 1)), True),
+            # 13073 + 11 + 3649 + 9 = 16742, just above 16000
+            ((2, 2), ((5, 4), (8, 1)), True),
             ((9, 9), ((8,) + SHORT_9, (8,) + SHORT_9), True),
             # every word long: 4 * 48639
             ((2, 2), ((7, 7), (7, 7)), True),
             # one 5-part word among short ones, about 7x faster per pair
             ((9, 9), ((5,) + SHORT_9, (5,) + SHORT_9), False),
             ((5, 13), ((8, 2, 2, 1, 1), (7, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1)), True),
-            # 2 * 48639 + 2 * 15 = 97308, just below 10**5
-            ((2, 2), ((7, 7), (7, 1)), False),
+            # 13073 + 1683 + 833 + 231 = 15820, just below 16000. (The case
+            # here before, 97308 with words of lengths 7, 7 and 7, 1, was just
+            # below the old cut of 10**5 and now takes the trie.)
+            ((2, 2), ((5, 3), (8, 5)), False),
             # one term times many: the trie still shares the prefixes of the
             # many-term side
             ((1, 9), ((8,), (8,) + SHORT_9), True),
+            # many terms times one, the shape of the lambda series' products,
+            # between the old cut and this one: 136 * D(8, 2) = 19720
+            ((136, 1), ((8,) * 136, (2,)), True),
         ],
     )
     def test_route(self, terms, longest, trie):
@@ -273,6 +279,41 @@ class TestRouteChoice:
         expected = {(1,) * (n + 1): n + 1}
         expected.update({(1,) * i + (2,) + (1,) * (n - 1 - i): 1 for i in range(n)})
         assert product == QSymmElement(expected)
+
+    @pytest.mark.parametrize("depth, short", [(200, (2,)), (60, (2, 3)), (30, (2, 3, 1))])
+    def test_deep_pair_shuffle_needs_no_recursion(self, depth, short):
+        # One side short: two long words of ones have astronomically many
+        # distinct terms. The one- and two-part words take closed forms, the
+        # three-part word the pass over cells. The last two go less deep, as
+        # the reference, the tuple recursion, takes seconds for them at 200.
+        deep = (1,) * depth
+        expected = tuple_shuffle(deep, short)
+        _shuffle_codes.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + depth // 2)
+        try:
+            codes = _shuffle_codes(deep, short), _shuffle_codes(short, deep)
+        finally:
+            sys.setrecursionlimit(limit)
+        for pairs in codes:
+            decoded = Counter()
+            for code, m in pairs:
+                decoded[_decode(code)[1]] += m
+            assert len(decoded) == len(pairs)
+            assert decoded == expected
+
+    @pytest.mark.parametrize("max_terms, cached", [(4, False), (5, True)])
+    def test_product_cache_term_limit(self, monkeypatch, max_terms, cached):
+        # [300,1] * [2] weighs above 256, so it takes the trie; its 5 terms
+        # are cached only within the term limit
+        monkeypatch.setattr(elements, "_PRODUCT_CACHE_MAX_TERMS", max_terms)
+        a, b = QSymmElement.monomial((300, 1)), QSymmElement.monomial((2,))
+        expected = QSymmElement(tuple_product({(300, 1): 1}, {(2,): 1}))
+        _trie_product.cache_clear()
+        assert a * b == b * a == expected
+        assert len(expected) == 5
+        info = _trie_product.cache_info()
+        assert (info.hits, info.misses, info.currsize) == ((1, 1, 1) if cached else (0, 2, 0))
 
 
 @cache

@@ -24,8 +24,13 @@ MEMOS = {
     "qsymm.compositions._weight_table": 13,
     "qsymm.compositions._wll_rank": 1 << 16,
     "qsymm.elements._delannoy": 1024,
-    "qsymm.elements._shuffle_codes": None,
-    "qsymm.elements._trie_product": 512,
+    # the word pairs per-pair products ask for: 14.2 MiB full with those of
+    # the certificates of weight <= 12; the route keeps each entry to 16000
+    # codes or fewer
+    "qsymm.elements._shuffle_codes": 4096,
+    # products of at most 2**15 terms: about 270 MiB full of products the
+    # size of lambda_4([1,1])**2
+    "qsymm.elements._trie_product": 128,
     "qsymm.generators._expand_monomial": None,
     # one packed vector per key of weight <= 12: 38.9 MiB full, the
     # vectors alone (their expansions are `_expand_monomial`'s)
