@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -54,12 +55,29 @@ from .symmetric import e_compose_p, format_symm, plethysm_compat_check
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """Standard output for no path or `-`, else the file at `path`."""
+    """Standard output for no path or `-`, else the file at `path`.
+
+    A file is written beside `path` and renamed over it once closed, so an
+    output that fails part-way leaves `path` as it was. A path that exists
+    but is no regular file, such as a device or a pipe, is written in place.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="ascii") as fh:
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="ascii") as fh:
             yield fh
+        return
+    part = f"{target}.{os.getpid()}.part"
+    fh = open(part, "x", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 def _write(text: str, path: str | None) -> None:

@@ -70,9 +70,8 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
     One pass over the cells, from the last to the first, lists the codes of
     the paths from each cell: its bit plus those of its three successors,
     one per path, so repeated words are counted once, at the end. A word
-    of one or two parts needs no pass: each part goes in at a suffix weight
-    of the other word, as a part of its own or added to the part that
-    starts there, the first part no later than the second."""
+    of one part needs no pass: it goes in at a suffix weight of the other
+    word, as a part of its own or added to the part that starts there."""
     if len(a) < len(b):
         a, b = b, a  # b is the shorter word, the row of the pass
     if not b:
@@ -86,23 +85,6 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
             if t:
                 counts[ins ^ 1 << t] = 1
         return tuple(counts.items())
-    if len(b) == 2:
-        # The same with q = b[1] at t and p = b[0] at u >= t: the bits of a
-        # up to t stay, those from t to u move up by q, the rest by p + q.
-        p, q = b
-        code = _encode(a)
-        ts = list(accumulate(reversed(a), initial=0))
-        words = []
-        add = words.append
-        for i, t in enumerate(ts):
-            low = code & ((2 << t) - 1)
-            for u in ts[i:]:
-                ins = low | ((code & ((2 << u) - 1)) >> t << (t + q)) | (code >> u << (u + p + q))
-                for c in (ins, ins ^ 1 << t) if t else (ins,):  # q alone, or added to a
-                    add(c)
-                    if u > t:
-                        add(c ^ 1 << (u + q))  # p added to a
-        return tuple(Counter(words).items())
     tops = [1 << t for t in accumulate(reversed(b), initial=0)]  # 1 << B_j, from j = len b down
     row = [[c] for c in accumulate(tops)]  # a exhausted: the codes of b's suffixes
     code_a, weight_a = 1, 0
@@ -269,12 +251,11 @@ _TRIE_MIN_WORK = 16_000
 # Trie products are cached whole, the least recently used pair going first,
 # unless they have more than _PRODUCT_CACHE_MAX_TERMS terms, as many as the
 # compositions of weight 16. The square of lambda_4([1,1]) has 30808 terms
-# and holds 2.1 MiB beside the `_decode` entries of its words, so 128 such
-# products hold about 270 MiB. A term limit of 2**11 with 512 entries would
-# hold less, but `test_ring_homomorphism` asks for most of its 28 products
-# of about 32k terms twice, and recomputing them doubled its time; with 64
-# entries it recomputed 17 of its 81 products.
-_PRODUCT_CACHE_CAP = 128
+# and holds 2.1 MiB beside the `_decode` entries of its words, so 512 such
+# products hold about 1.1 GiB. A term limit of 2**11 would hold less, but
+# `test_ring_homomorphism` asks for most of its 28 products of about 32k
+# terms twice, and recomputing them doubled its time.
+_PRODUCT_CACHE_CAP = 512
 _PRODUCT_CACHE_MAX_TERMS = 1 << 15
 
 

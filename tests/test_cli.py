@@ -1,9 +1,13 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
+from qsymm import cli
 from qsymm.cli import run, verify_all
 from qsymm.generators import certificate_to_json_obj, freeness_certificate
 from qsymm.lambda_ops import clear_memo
@@ -203,6 +207,47 @@ class TestOutputPath:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_json_leaves_the_path_as_it_was(self, capsys, tmp_path, monkeypatch, existing):
+        class Truncated(list):
+            # the encoder runs out of memory after the first item
+            def __iter__(self):
+                yield self[0]
+                raise MemoryError
+
+        monkeypatch.setattr(cli, "certificate_to_json_obj", lambda cert: Truncated([1, 2]))
+        path = tmp_path / "x.json"
+        if existing:
+            path.write_text("old\n")
+        code, _, err = invoke(capsys, "certify", "--weight", "2", "--json", str(path))
+        assert code == 2
+        assert err == "error: input too large (MemoryError)\n"
+        # no partial file beside it either
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
+
+    def test_symlink_target_is_written(self, capsys, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert invoke(capsys, "product", "[1]", "[2]", "--output", str(link))[0] == 0
+        assert link.is_symlink()
+        assert real.read_text() == "[2,1] + [1,2] + [3]\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert invoke(capsys, "product", "[1]", "[2]", "--output", str(fifo))[0] == 0
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert read == ["[2,1] + [1,2] + [3]\n"]
 
 
 class TestDeterminism:

@@ -283,8 +283,8 @@ class TestRouteChoice:
     @pytest.mark.parametrize("depth, short", [(200, (2,)), (60, (2, 3)), (30, (2, 3, 1))])
     def test_deep_pair_shuffle_needs_no_recursion(self, depth, short):
         # One side short: two long words of ones have astronomically many
-        # distinct terms. The one- and two-part words take closed forms, the
-        # three-part word the pass over cells. The last two go less deep, as
+        # distinct terms. The one-part word takes the closed form, the
+        # others the pass over cells. The last two go less deep, as
         # the reference, the tuple recursion, takes seconds for them at 200.
         deep = (1,) * depth
         expected = tuple_shuffle(deep, short)

@@ -28,9 +28,9 @@ MEMOS = {
     # the certificates of weight <= 12; the route keeps each entry to 16000
     # codes or fewer
     "qsymm.elements._shuffle_codes": 4096,
-    # products of at most 2**15 terms: about 270 MiB full of products the
+    # products of at most 2**15 terms: about 1.1 GiB full of products the
     # size of lambda_4([1,1])**2
-    "qsymm.elements._trie_product": 128,
+    "qsymm.elements._trie_product": 512,
     "qsymm.generators._expand_monomial": None,
     # one packed vector per key of weight <= 12: 38.9 MiB full, the
     # vectors alone (their expansions are `_expand_monomial`'s)
