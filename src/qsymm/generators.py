@@ -399,73 +399,80 @@ def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
     """Exact determinant of the square matrix whose i-th row is `rows[i]`,
     given sparsely as {column: nonzero entry} with columns in range(n).
 
-    Eliminates with +1/-1 pivots only, so no step divides: each step takes
-    the first column, in index order, with the fewest nonzeros that holds a
-    unit entry and, in it, the shortest row with a unit entry, lowest index
-    first. Short pivots keep down the row-update work each step costs.
-    Whatever is left without a unit pivot goes to `det_bareiss`. Each column
-    is indexed by one int whose bit r is set when row r has a nonzero there,
-    and by its count of such rows. The dicts are consumed.
+    Eliminates with +1/-1 pivots only, so no step divides. It passes over
+    the columns not yet eliminated in index order. A column that holds a
+    unit entry is eliminated on its shortest row with a unit entry, lowest
+    index first. A column with none waits for the next pass, since a later
+    pivot may turn one of its entries into a unit. In the certificates the
+    index order is the canonical order of the compositions, and taking the
+    columns in it keeps the row-update work low. When a pass eliminates
+    nothing, what is left goes to `det_bareiss`. Each column is indexed by
+    one int whose bit r is set when row r has a nonzero there. The dicts
+    are consumed.
+
+    Column 0 has no unit entry until column 1's pivot turns its 3 into 1:
+
+    >>> _det_unit_pivot([{0: 2, 1: 1}, {0: 3, 1: 1}])
+    -1
     """
     n = len(rows)
-    masks = [0] * n
-    # the columns not yet eliminated, in index order, with their counts
-    counts = dict.fromkeys(range(n), 0)
+    # a byte-OR per nonzero costs less than a big-int OR; then one int per column
+    index = [bytearray((n + 7) >> 3) for _ in range(n)]
     for r, row in enumerate(rows):
-        bit = 1 << r
+        byte, bit = r >> 3, 1 << (r & 7)
         for c in row:
-            masks[c] |= bit
-            counts[c] += 1
+            index[c][byte] |= bit
+    masks = [int.from_bytes(m, "little") for m in index]
+    del index
     det = 1
     pivot_col: dict[int, int] = {}
-    while counts:
-        best_col = -1
-        best_len = n + 1
-        for c, length in counts.items():
-            if not length:
+    pending = list(range(n))
+    while pending:
+        deferred = []
+        for c in pending:
+            mask = masks[c]
+            if not mask:
                 return 0
-            if length < best_len and any(rows[r][c] in (1, -1) for r in _set_bits(masks[c])):
-                best_col, best_len = c, length
-                if length == 1:
-                    break
-        if best_col < 0:
-            break
-        c = best_col
-        del counts[c]
-        # the bits ascend, so `min` keeps the lowest of the shortest rows
-        r = min((s for s in _set_bits(masks[c]) if rows[s][c] in (1, -1)), key=lambda s: len(rows[s]))
-        bit = 1 << r
-        pivot_row = rows[r]
-        p = pivot_row.pop(c)
-        det *= p
-        pivot_col[r] = c
-        for k in pivot_row:
-            masks[k] ^= bit
-            counts[k] -= 1
-        for s in _set_bits(masks[c] ^ bit):
-            row = rows[s]
-            f = row.pop(c) * p
-            row_bit = 1 << s
-            for k, v in pivot_row.items():
-                x = row.get(k)
-                if x is None:  # fill-in
-                    row[k] = -f * v
-                    masks[k] ^= row_bit
-                    counts[k] += 1
-                elif x := x - f * v:
-                    row[k] = x
-                else:  # cancellation
-                    del row[k]
-                    masks[k] ^= row_bit
-                    counts[k] -= 1
-            if not row:
-                return 0
-    if counts:
-        rest_rows = [r for r in range(n) if r not in pivot_col]
-        rest_cols = list(counts)
-        for r, c in zip(rest_rows, rest_cols):
+            # the bits ascend, so a strict `<` keeps the lowest of the shortest rows
+            r, best = -1, n + 1
+            for s in _set_bits(mask):
+                row = rows[s]
+                if row[c] in (1, -1) and len(row) < best:
+                    r, best = s, len(row)
+            if r < 0:
+                deferred.append(c)
+                continue
+            bit = 1 << r
+            pivot_row = rows[r]
+            p = pivot_row.pop(c)
+            det *= p
             pivot_col[r] = c
-        det *= det_bareiss([[rows[r].get(c, 0) for c in rest_cols] for r in rest_rows])
+            for k in pivot_row:
+                masks[k] ^= bit
+            for s in _set_bits(mask ^ bit):
+                row = rows[s]
+                f = row.pop(c) * p
+                row_bit = 1 << s
+                for k, v in pivot_row.items():
+                    x = row.get(k)
+                    if x is None:  # fill-in
+                        row[k] = -f * v
+                        masks[k] ^= row_bit
+                    elif x := x - f * v:
+                        row[k] = x
+                    else:  # cancellation
+                        del row[k]
+                        masks[k] ^= row_bit
+                if not row:
+                    return 0
+        if len(deferred) == len(pending):
+            break
+        pending = deferred
+    if pending:
+        rest_rows = [r for r in range(n) if r not in pivot_col]
+        for r, c in zip(rest_rows, pending):
+            pivot_col[r] = c
+        det *= det_bareiss([[rows[r].get(c, 0) for c in pending] for r in rest_rows])
     return _permutation_sign(pivot_col) * det
 
 

@@ -416,6 +416,69 @@ class TestUnitPivotDeterminant:
                 if w <= 4:
                     assert det == cofactor_det([list(row) for row in cert.matrix])
 
+    def test_deferred_columns_need_no_bareiss(self, monkeypatch):
+        monkeypatch.setattr(generators, "det_bareiss", no_remainder)
+        # column 0 has a unit only after column 1's pivot turns its 3 into 1
+        assert unit_pivot_det([[2, 1], [3, 1]]) == -1
+        # columns 0 and 1 both wait for column 2's pivot
+        m = [[3, -2, 1], [2, 0, 1], [-2, 3, 0]]
+        assert unit_pivot_det(m) == cofactor_det(m) == 1
+
+    def test_certificates_need_no_bareiss(self, monkeypatch):
+        monkeypatch.setattr(generators, "det_bareiss", no_remainder)
+        for w in range(1, 12):
+            assert freeness_certificate(w).is_unimodular
+
+    def test_permuted_certificate_matrices(self, monkeypatch):
+        """Permuted rows and columns send the elimination through deferred
+        columns and Bareiss remainders, which the table order does not reach
+        for the elementary family."""
+        widths = []
+
+        def spy(rows):
+            rows = [list(r) for r in rows]
+            widths.append(len(rows))
+            return det_bareiss(rows)
+
+        rng = random.Random(59)
+        for family, max_weight in (("elementary", 8), ("product", 6)):
+            for w in range(1, max_weight + 1):
+                cert = freeness_certificate(w, family)
+                n = cert.size
+                # the elimination's rows are the generator monomials and its
+                # columns the compositions, as in `freeness_certificate`
+                rows = [dict(zip(index, entries)) for index, entries in cert.columns]
+                identity = list(range(n))
+                orders = [
+                    (identity, identity[::-1]),
+                    (rng.sample(identity, n), identity),
+                    (rng.sample(identity, n), rng.sample(identity, n)),
+                    (rng.sample(identity, n), identity[::-1]),
+                ]
+                for row_perm, col_perm in orders:
+                    # column col_perm[j] of the certificate becomes column j
+                    new_col = {c: j for j, c in enumerate(col_perm)}
+                    permuted = [{new_col[c]: v for c, v in rows[i].items()} for i in row_perm]
+                    dense = [[row.get(j, 0) for j in range(n)] for row in permuted]
+                    expected = inversion_sign(row_perm) * inversion_sign(col_perm) * cert.determinant
+                    with monkeypatch.context() as patched:
+                        patched.setattr(generators, "det_bareiss", spy)
+                        det = _det_unit_pivot(permuted)
+                    assert det == expected == det_bareiss(dense)
+            if family == "elementary":
+                assert widths, "no permuted elementary matrix left a Bareiss remainder"
+
+
+def no_remainder(rows):
+    raise AssertionError("unexpected Bareiss remainder")
+
+
+def inversion_sign(perm):
+    """The sign of a permutation given as a list, by counting inversions."""
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
 
 class TestCertificates:
     def test_weight_one(self):

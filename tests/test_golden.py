@@ -72,8 +72,8 @@ def test_verify_all_weight_7_digest(tmp_path):
 
 
 # `certify --weight W --json -` above the corpus's weights 1-6: weight 9 is
-# the first whose unit-pivot elimination leaves a Bareiss remainder, and
-# weight 10 is the benchmark's largest certificate.
+# the first at which the fewest-nonzeros pivot rule left a Bareiss
+# remainder, and weight 10 is the benchmark's largest certificate.
 CERTIFY_SHA256 = {
     9: "49e14d5819503baff19eb4ab82de1539bd4204f4b0d85cf2e7326bfc043876d3",
     10: "b57f3bbaa2accce4bcc277dce11556e190486d7000c23181bea1cb11e780fb01",
