@@ -289,7 +289,9 @@ class QSymmElement(SparseTerms):
 
     @classmethod
     def monomial(cls, comp: Iterable[int], coeff: Scalar = 1) -> "QSymmElement":
-        return cls({composition(comp): coeff})
+        comp = composition(comp)
+        q = _norm_scalar(coeff)
+        return cls._from_sorted({comp: q} if q else {})
 
     # -- inspection --------------------------------------------------------
 

@@ -188,20 +188,25 @@ def _series_mul(a: list[QSymmElement], b: list[QSymmElement], order: int) -> lis
 def _series_exp(s: list[QSymmElement], order: int, denominator: int = 1) -> list[QSymmElement]:
     """exp(s / denominator) for a series s with zero constant term,
     truncated at `order`: the sum of s**k / (denominator**k * k!). Each
-    power is built from s itself and scaled once, so an integral s keeps
-    the products integral."""
+    power is built from s itself. With N = denominator**order * order!, the
+    terms of N times the sum are accumulated, each power scaled by the
+    integer N / (denominator**k * k!), and every coefficient is divided by
+    N once at the end; an integral s keeps all of it in ints."""
     if s[0]:
         raise ValueError("exp needs a series with zero constant term")
-    result = [QSymmElement.one()] + [QSymmElement() for _ in range(order)]
-    power = list(result)
-    scale = 1
+    total = denominator**order * math.factorial(order)
+    acc: list[dict] = [{(): total}] + [{} for _ in range(order)]
+    power = [QSymmElement.one()] + [QSymmElement() for _ in range(order)]
+    scale = total
     for k in range(1, order + 1):
         power = _series_mul(power, s, order)
-        scale *= denominator * k
+        scale //= denominator * k
         for i in range(k, order + 1):
-            if power[i]:
-                result[i] = result[i] + power[i] * Fraction(1, scale)
-    return result
+            _iadd_scaled(acc[i], power[i]._terms, scale)
+    for t in acc:
+        for key, q in t.items():
+            t[key] = q // total if type(q) is int and q % total == 0 else Fraction(q, total)
+    return [QSymmElement._from_dict(t) for t in acc]
 
 
 def exp_identity_check(alpha: Iterable[int], order: int) -> bool:

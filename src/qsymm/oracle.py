@@ -11,15 +11,17 @@ agreement in the ring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product, starmap
 from operator import add, lshift
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import Scalar, SparseTerms, _format_terms, _iadd_scaled
 from .compositions import Composition, _check_index, composition, enumerate_compositions, format_composition
 from .elements import QSymmElement, quasi_shuffle
+from .errors import ConsistencyError
 from .lambda_ops import frobenius, lambda_n
 
 ExponentVector = tuple[int, ...]
@@ -122,21 +124,30 @@ def _max_part(a: QSymmElement, k: int) -> int:
 
 
 def _packed_element(a: QSymmElement, k: int, b: int) -> PackedTerms:
+    """`expand_element` packed at width b, for parts below 2**b. A
+    monomial's nonzero exponents, in variable order, are the composition it
+    came from, so distinct compositions expand to disjoint sets of
+    monomials and each term's expansion is written in with its coefficient;
+    an overlap raises ConsistencyError."""
     acc: PackedTerms = {}
+    size = 0
     for comp, q in a.terms():
         if len(comp) <= k:
-            _iadd_scaled(acc, _packed_expansion(comp, k, b), q)
+            expansion = _packed_expansion(comp, k, b)
+            acc.update(dict.fromkeys(expansion, q))
+            size += len(expansion)
+    if len(acc) != size:
+        raise ConsistencyError(
+            f"expansions of distinct compositions overlap in {k} variables at width {b}"
+        )
     return acc
 
 
 def _packed_mul(p: PackedTerms, q: PackedTerms) -> PackedTerms:
-    acc: PackedTerms = {}
-    get = acc.get
-    for x1, c1 in p.items():
-        for x2, c2 in q.items():
-            x = x1 + x2
-            acc[x] = get(x, 0) + c1 * c2
-    return {x: c for x, c in acc.items() if c}
+    """Product of two `_packed_expansion` results. Every coefficient of
+    both is 1, so each coefficient of the product is the number of ways its
+    monomial is a sum of one from each, which the Counter tallies."""
+    return Counter(starmap(add, product(p, q)))
 
 
 def _packed_elementary(n: int, alpha: Composition, k: int, b: int) -> PackedTerms:

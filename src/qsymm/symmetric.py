@@ -147,6 +147,13 @@ def e_compose_p(n: int, m: int) -> SymmPoly:
     the m-th power sum; always has integer coefficients."""
     _check_index(n, 1, "indices must be >= 1")
     _check_index(m, 1, "indices must be >= 1")
+    return _e_compose_p(n, m)
+
+
+# Behind the index checks, so that `True` or `1.0` never reaches the memo
+# as a key equal to 1.
+@lru_cache(maxsize=256)
+def _e_compose_p(n: int, m: int) -> SymmPoly:
     result = p_to_e(plethysm_p(e_to_p(SymmPoly.e(n)), m))
     if not result.is_integral():
         raise IntegralityError(

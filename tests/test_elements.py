@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -72,6 +73,23 @@ class TestModuleStructure:
     def test_no_zero_coefficients_stored(self):
         el = QSymmElement({(1,): 1, (2,): 0})
         assert list(el.compositions()) == [(1,)]
+
+    @pytest.mark.parametrize("comp, coeff", [
+        ((1, True), 1), ((1, 2.0), 1), ((0,), 1), ((1,), True), ((1,), 0.5), ((1,), "1"),
+    ], ids=["bool-part", "float-part", "zero-part", "bool-coeff", "float-coeff", "str-coeff"])
+    def test_monomial_rejects_as_the_constructor(self, comp, coeff):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            QSymmElement({tuple(comp): coeff})
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            QSymmElement.monomial(comp, coeff)
+
+    def test_monomial_normalizes_its_coefficient(self):
+        el = QSymmElement.monomial([1, 2], Fraction(4, 2))
+        assert list(el.terms()) == [((1, 2), 2)]
+        assert type(el.coefficient((1, 2))) is int
+        assert QSymmElement.monomial((1, 2), 0) == QSymmElement.zero()
+        assert not QSymmElement.monomial((3,), Fraction(0))
+        assert QSymmElement.monomial((), Fraction(-1, 3)) == QSymmElement({(): Fraction(-1, 3)})
 
 
 class TestQuasiShuffle:

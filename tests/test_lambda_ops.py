@@ -28,6 +28,7 @@ from qsymm.lambda_ops import (
     lambda_series,
     power_gen,
     _series_exp,
+    _series_mul,
 )
 
 from helpers import cofactor_det
@@ -279,6 +280,55 @@ class TestExpIdentity:
         assert series[0] == QSymmElement.one()
         assert series[1] == mono((1,))
         assert series[2] == mono((1, 1))
+
+    @staticmethod
+    def fraction_series_exp(s, order, denominator=1):
+        # the reference: each power scaled by the Fraction
+        # 1 / (denominator**k * k!) and added in as it is built
+        result = [QSymmElement.one()] + [QSymmElement() for _ in range(order)]
+        power = list(result)
+        scale = 1
+        for k in range(1, order + 1):
+            power = _series_mul(power, s, order)
+            scale *= denominator * k
+            for i in range(k, order + 1):
+                if power[i]:
+                    result[i] = result[i] + power[i] * Fraction(1, scale)
+        return result
+
+    @pytest.mark.parametrize("denominator", [1, 2, 12])
+    @pytest.mark.parametrize("coeffs", [(-2, -1, 1, 3), (-1, 1, Fraction(1, 2), Fraction(-2, 3))],
+                             ids=["integral", "rational"])
+    def test_series_exp_matches_the_fraction_loop(self, denominator, coeffs):
+        rng = random.Random(denominator)
+        comps = nonempty_up_to(2)
+        for _ in range(12):
+            order = rng.randint(1, 4)
+            s = [QSymmElement()] + [
+                QSymmElement({c: rng.choice(coeffs) for c in rng.sample(comps, rng.randint(0, 2))})
+                for _ in range(order)
+            ]
+            got = _series_exp(s, order, denominator)
+            want = self.fraction_series_exp(s, order, denominator)
+            assert got == want
+            # the same canonical terms, integral coefficients stored as ints
+            assert [[(c, type(q)) for c, q in e.terms()] for e in got] == [
+                [(c, type(q)) for c, q in e.terms()] for e in want
+            ]
+
+    @pytest.mark.parametrize("perturb", [
+        # exp(2 L / 12), the square of the lambda series: integral, but
+        # not equal to it
+        lambda s: [2 * x for x in s],
+        # a t^2 term of 1/12 * [2] makes the exponential non-integral
+        lambda s: s[:2] + [s[2] + mono((2,))] + s[3:],
+    ], ids=["integral", "rational"])
+    def test_perturbed_log_series_fails(self, monkeypatch, perturb):
+        exp = lambda_ops._series_exp
+        monkeypatch.setattr(lambda_ops, "_series_exp", lambda s, order, d: exp(perturb(s), order, d))
+        assert not exp_identity_check((1, 2), 4)
+        monkeypatch.undo()
+        assert exp_identity_check((1, 2), 4)
 
     def test_wide_window(self):
         for w in range(0, 4):

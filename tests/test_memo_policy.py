@@ -46,6 +46,10 @@ MEMOS = {
     "qsymm.generators._slot_table": 13,
     "qsymm.lambda_ops._series_box": 4096,
     "qsymm.oracle._packed_expansion": 4096,
+    # e_n composed with p_m, one partition of n*m a term at most: 17.8 KiB
+    # with the 20 pairs verify_all(7) asks for, 225 KiB with all 50 pairs
+    # of n*m <= 16
+    "qsymm.symmetric._e_compose_p": 256,
     "qsymm.symmetric._e_in_p": None,
     "qsymm.symmetric._p_in_e": None,
 }

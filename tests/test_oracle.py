@@ -1,17 +1,21 @@
 """The polynomial substitution oracle and its differential suites."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qsymm._sparse import _iadd_scaled
 from qsymm.compositions import enumerate_compositions
 from qsymm.elements import QSymmElement, quasi_shuffle
+from qsymm.errors import ConsistencyError
 from qsymm.lambda_ops import frobenius, lambda_n
 from qsymm.oracle import (
     TruncatedPolynomial,
     _packed_check,
+    _packed_element,
     _packed_elementary,
     _packed_expansion,
     _packed_mul,
@@ -325,6 +329,37 @@ class TestPackedKernel:
         for k in (2, 3, 4):
             assert expand_element(el, k) == tuple_element(el, k)
 
+    def test_element_matches_a_summed_reference(self):
+        # the reference sums the expansions term by term, so it would also
+        # add up overlapping ones, which the kernel only writes in
+        def summed(a, k, b):
+            acc = {}
+            for comp, q in a.terms():
+                if len(comp) <= k:
+                    _iadd_scaled(acc, _packed_expansion(comp, k, b), q)
+            return acc
+
+        rng = random.Random(25)
+        comps = [()] + nonempty_up_to(5)
+        coeffs = [-3, -1, 1, 2, 7, Fraction(-1, 2), Fraction(5, 3)]
+        for _ in range(200):
+            el = QSymmElement({c: rng.choice(coeffs) for c in rng.sample(comps, rng.randint(1, 8))})
+            k = rng.randint(1, 5)  # compositions longer than k vanish
+            b = _width(max((max(c) for c in el.compositions() if c), default=0)) + rng.randint(0, 1)
+            assert _packed_element(el, k, b) == summed(el, k, b), (el, k, b)
+
+    def test_overlapping_expansions_raise(self):
+        # a part of 2**b or more wraps into the next field: at width 2,
+        # [4] in x2 packs as x1 does, which [1] also holds
+        with pytest.raises(ConsistencyError):
+            _packed_element(mono((1,)) + mono((4,)), 2, 2)
+
+    def test_product_counts_each_split(self):
+        b = _width(4)
+        p = _packed_mul(_packed_expansion((1,), 3, b), _packed_expansion((1,), 3, b))
+        assert sorted(p.values()) == [1, 1, 1, 2, 2, 2]
+        assert _unpack(p, 3, b) == tuple_expansion((1,), 3) * tuple_expansion((1,), 3)
+
     def test_expansion_cache_is_bounded(self):
         assert _packed_expansion.cache_info().maxsize is not None
 
@@ -387,6 +422,20 @@ class TestBrokenCodeUnderTest:
         assert (c.identity, c.instance, c.status) == ("product", "[1]*[1,2]", "fail")
         assert c.lhs == str(tuple_element(self.drop_one(quasi_shuffle((1,), (1, 2))), 4))
         assert c.rhs == str(tuple_expansion((1,), 4) * tuple_expansion((1, 2), 4))
+
+    def test_perturbed_product(self, monkeypatch):
+        # both texts pinned literally, so that no change to the packed
+        # kernel can move them
+        def broken(a, b):
+            out = quasi_shuffle(a, b)
+            if (a, b) == ((1,), (1,)):
+                return out + mono((1, 1), Fraction(-1, 2)) + mono((3,))
+            return out
+
+        (c,) = self.failures(monkeypatch, "quasi_shuffle", broken, 3, 3)
+        assert (c.identity, c.instance, c.status) == ("product", "[1]*[1]", "fail")
+        assert c.lhs == "x3^2 + x3^3 + 3/2*x2*x3 + x2^2 + x2^3 + 3/2*x1*x3 + 3/2*x1*x2 + x1^2 + x1^3"
+        assert c.rhs == "x3^2 + 2*x2*x3 + x2^2 + 2*x1*x3 + 2*x1*x2 + x1^2"
 
     def test_altered_frobenius_term(self, monkeypatch):
         def broken(n, a):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsymm import symmetric
 from qsymm.compositions import enumerate_elementary_lyndon, weight
 from qsymm.elements import QSymmElement
 from qsymm.lambda_ops import elementary_gen, power_gen
@@ -151,6 +152,17 @@ class TestEComposeP:
             for m in range(1, 11):
                 if n * m <= 10:
                     assert e_compose_p(n, m).is_integral()
+
+    def test_memo_keys_only_checked_indices(self):
+        # True == 1.0 == 1 as memo keys; the checks come first, so a cached
+        # (1, 1) does not answer for them
+        assert e_compose_p(1, 1) is e_compose_p(1, 1)
+        assert symmetric._e_compose_p.cache_info().currsize >= 1
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                e_compose_p(bad, 1)
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                e_compose_p(1, bad)
 
 
 class TestEvaluateAt:
