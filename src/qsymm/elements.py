@@ -16,12 +16,11 @@ leading term is always first and output is reproducible.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from ._sparse import (  # Scalar and _norm_scalar stay importable from here
     Scalar,
@@ -101,6 +100,17 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
     return tuple(Counter(row[-1]).items())
 
 
+def _sum_pairs(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar], table: list[Scalar]) -> list[Scalar]:
+    """Add the memoized quasi-shuffles of every term pair into `table`, a
+    list indexed by code that reaches past the heaviest code. Returns it."""
+    for c1, q1 in ta.items():
+        for c2, q2 in tb.items():
+            q12 = q1 * q2
+            for code, m in _shuffle_codes(c1, c2) if c1 <= c2 else _shuffle_codes(c2, c1):
+                table[code] += q12 * m
+    return table
+
+
 def _mul_pairwise(a: "QSymmElement", b: "QSymmElement", by_table: bool = False) -> dict[Composition, Scalar]:
     """Sum the memoized quasi-shuffles of every term pair by code; the
     result is in canonical form. `by_table`, sum in `_mul_by_table`."""
@@ -121,12 +131,7 @@ def _mul_by_table(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) 
     canonical order through the weight tables, from the weight of the two
     first (heaviest) terms to that of the two last."""
     top = sum(next(iter(ta))) + sum(next(iter(tb)))
-    table: list[Scalar] = [0] * (2 << top)
-    for c1, q1 in ta.items():
-        for c2, q2 in tb.items():
-            q12 = q1 * q2
-            for code, m in _shuffle_codes(c1, c2) if c1 <= c2 else _shuffle_codes(c2, c1):
-                table[code] += q12 * m
+    table = _sum_pairs(ta, tb, [0] * (2 << top))
     out: dict[Composition, Scalar] = {}
     for w in range(top, sum(next(reversed(ta))) + sum(next(reversed(tb))) - 1, -1):
         comps, _, get_w = _weight_table(w)
@@ -147,6 +152,26 @@ def _from_codes(acc: dict[int, Scalar]) -> dict[Composition, Scalar]:
         if q:
             out[comp] = q if type(q) is int or q.denominator != 1 else q.numerator
     return out
+
+
+def _mul_column(a: "QSymmElement", b: "QSymmElement", w: int, get_w: Callable) -> tuple[Scalar, ...]:
+    """The product of two elements whose terms all weigh v and w - v, as
+    `get_w` reads it: the coefficients of the compositions of weight w in
+    canonical order, zeros included, then one 0. It takes the route
+    `__mul__` would, per-pair or trie, but keys the sum by code in one list:
+    a per-pair product of either finish sums straight into it, since the
+    list is made for the read anyway and an index costs less than a dict
+    lookup, and a trie product's codes are written into it. Nothing is
+    cached but the shuffles of word pairs."""
+    ta, tb = a._terms, b._terms
+    table: list[Scalar] = [0] * (2 << w)
+    if _route(ta, tb) == _TRIE:
+        acc, _ = _trie_sum(ta, tb)  # a product this light is keyed by code
+        for code, q in acc.items():
+            table[code] = q
+    else:
+        _sum_pairs(ta, tb, table)
+    return get_w(table)
 
 
 @lru_cache(maxsize=1024)
@@ -190,8 +215,9 @@ def _reversed_trie(terms: Iterable[tuple[Composition, Scalar]]) -> tuple[list, l
     return coef, kids
 
 
-def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
-    """The product, in canonical form, over the tries of the reversed words.
+def _trie_sum(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) -> tuple[dict[int, Scalar], int]:
+    """The product over the tries of the reversed words, as {word: coefficient}
+    and the width of a word's digits, 0 where words are `_encode`'s codes.
 
     The words below node i are S(i) = coef[i] + sum_x S(i_x).x, where i_x is
     the child at part x and w.x appends x to w. Hoffman's last-part
@@ -204,7 +230,6 @@ def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]
     pair's product once, from pairs computed before it. Words are ints, and
     appending a part is one shift-or: `_encode`'s codes when the product
     weighs at most _RANK_MAX_WEIGHT, else one fixed-width digit per part."""
-    ta, tb = a._terms, b._terms
     coef_a, kids_a = _reversed_trie(ta.items())
     coef_b, kids_b = _reversed_trie(tb.items())
     if len(coef_a) < len(coef_b):  # a row holds one product per node of b
@@ -235,8 +260,13 @@ def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]
             row[j] = res
         for ka in kids_a[i].values():  # only this row reads the children's rows
             rows[ka] = None
-    acc = rows[0][0]
-    if light:
+    return rows[0][0], 0 if light else width
+
+
+def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]:
+    """The product, in canonical form, over the tries of the reversed words."""
+    acc, width = _trie_sum(a._terms, b._terms)
+    if not width:
         return _from_codes(acc)
     mask = (1 << width) - 1  # the digits sit below the sentinel, the first part highest
     return QSymmElement._canonical(
@@ -245,8 +275,72 @@ def _mul_trie(a: "QSymmElement", b: "QSymmElement") -> dict[Composition, Scalar]
 
 
 # The per-pair work above which a product of two elements takes the trie
-# route; fitted on the corpus in `__mul__`.
+# route; fitted on the corpus in `_route`.
 _TRIE_MIN_WORK = 16_000
+
+# The routes of a product: per-pair, finished in a dict or through the
+# weight tables, or over the tries.
+_DICT, _TABLE, _TRIE = "dict", "table", "trie"
+
+
+def _route(a: dict[Composition, Scalar], b: dict[Composition, Scalar]) -> str:
+    """The route of the product of two term maps in canonical form, which
+    `__mul__` and `_mul_column` both take."""
+    # Per-pair shuffles, memoized across calls, unless the per-pair
+    # work `_pair_work` exceeds _TRIE_MIN_WORK. Then the trie route
+    # shares the work of common suffixes, and the whole product is
+    # worth caching. No word pair does more work than the two longest
+    # words, so that bound settles most products without the histograms.
+    #
+    # The cut is fitted on cold cost, with the `_shuffle_codes` above.
+    # Cold, the trie was faster on nearly every recorded product with
+    # 4.4e3 <= P <= 2.7e5, by 1.0-4.7x: the three lambda products of
+    # `exp_identity_check((1,1,1), 4)` (P = 16081, 53684, 55295; 63, 136
+    # and 149 terms times one) took 7.6 / 18.8 / 19.1 ms per-pair and
+    # 3.6 / 6.0 / 6.2 ms on the trie. Warm, per-pair was 2-10x faster, and
+    # a certificate's products share their word pairs (1782 pairs for
+    # 7347 asks at weight <= 10). Those products have P <= 9984, a
+    # 128 x 1 column shape is still faster per-pair at P = 14464, even
+    # cold, and the session workload stays below 5000, so the cut sits
+    # above 14464 and below 16081. Totals of the recorded products,
+    # replayed in order from empty memos (best of 3-9 in each of two
+    # runs, Python 3.11.7, 2 vCPUs), per-pair only / trie only / a cut
+    # at 10**5 / this rule:
+    #   certify, w = 1..10 (1303 products)   0.064-0.065 / 0.19-0.20 /
+    #                                        0.062-0.063 / 0.064-0.067 s
+    #   verify_all(7) (1409)                 0.039-0.044 / 0.063-0.066 /
+    #                                        0.039-0.040 / 0.033-0.034 s
+    #   lambda_i([1,1]) * lambda_j([1,1]),
+    #     i, j <= 4, and lambda_n(n, [alpha]),
+    #     n, weight(alpha) <= 4 (160)        8.6-9.4 / 0.64-0.75 /
+    #                                        0.68-0.78 / 0.67-0.75 s
+    #   perfbench session, seed 1 (3126)     0.147-0.158 / 0.74-0.76 /
+    #                                        0.146-0.148 / 0.150-0.152 s
+    # The cuts from 9984 to 16080 make the same choices there.
+    #
+    # The per-pair route packs compositions into codes one bit per unit
+    # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
+    # trie whatever its work. The first terms are the heaviest.
+    #
+    # A per-pair product of weight w <= _TABLE_MAX_WEIGHT sums in a list
+    # read back through `_weight_table` when the 2**(w-1) codes of its
+    # top weight are at most twice the per-pair bound; any other is
+    # decoded and sorted. Both finishes timed warm on the per-pair
+    # products above (best of 3); dict only / table only / this cut /
+    # the better finish of each product:
+    #   certify 96.2 / 73.5 / 58.9 / 58.1 ms, verify_all(7) 34.7 / 31.7 /
+    #   23.0 / 22.7 ms, session 369.9 / 247.9 / 241.0 / 239.6 ms.
+    # Cuts at 1x and 3-4x the bound read within 4 %; counting the whole
+    # list, 2**(w+1) <= bound, up to 9 % slower.
+    if not a or not b:
+        return _DICT
+    top = sum(next(iter(a))) + sum(next(iter(b)))
+    if top <= _RANK_MAX_WEIGHT:
+        bound = len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b)))
+        if bound <= _TRIE_MIN_WORK or _pair_work(a, b) <= _TRIE_MIN_WORK:
+            return _TABLE if top <= _TABLE_MAX_WEIGHT and 1 << top <= 2 * bound else _DICT
+    return _TRIE
+
 
 # Trie products are cached whole, the least recently used pair going first,
 # unless they have more than _PRODUCT_CACHE_MAX_TERMS terms, as many as the
@@ -306,21 +400,6 @@ class QSymmElement(SparseTerms):
         for the zero element)."""
         return all(sum(c) == w for c in self._terms)
 
-    def homogeneous_weight(self) -> int | None:
-        """The common weight of all terms, or None if zero or mixed.
-
-        Deprecated: test a weight with `is_homogeneous(w)` instead.
-        """
-        warnings.warn(
-            "QSymmElement.homogeneous_weight is deprecated; use is_homogeneous(w)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        weights = {sum(c) for c in self._terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
-
     def leading_term_wll(self) -> tuple[Composition, Scalar]:
         """The wll-largest composition present, with its coefficient."""
         if not self._terms:
@@ -333,61 +412,9 @@ class QSymmElement(SparseTerms):
     def __mul__(self, other: Union["QSymmElement", Scalar]) -> "QSymmElement":
         if not isinstance(other, QSymmElement):
             return self._scale(other)
-        # Per-pair shuffles, memoized across calls, unless the per-pair
-        # work `_pair_work` exceeds _TRIE_MIN_WORK. Then the trie route
-        # shares the work of common suffixes, and the whole product is
-        # worth caching. No word pair does more work than the two longest
-        # words, so that bound settles most products without the histograms.
-        #
-        # The cut is fitted on cold cost, with the `_shuffle_codes` above.
-        # Cold, the trie was faster on nearly every recorded product with
-        # 4.4e3 <= P <= 2.7e5, by 1.0-4.7x: the three lambda products of
-        # `exp_identity_check((1,1,1), 4)` (P = 16081, 53684, 55295; 63, 136
-        # and 149 terms times one) took 7.6 / 18.8 / 19.1 ms per-pair and
-        # 3.6 / 6.0 / 6.2 ms on the trie. Warm, per-pair was 2-10x faster, and
-        # a certificate's products share their word pairs (1782 pairs for
-        # 7347 asks at weight <= 10). Those products have P <= 9984, a
-        # 128 x 1 column shape is still faster per-pair at P = 14464, even
-        # cold, and the session workload stays below 5000, so the cut sits
-        # above 14464 and below 16081. Totals of the recorded products,
-        # replayed in order from empty memos (best of 3-9 in each of two
-        # runs, Python 3.11.7, 2 vCPUs), per-pair only / trie only / a cut
-        # at 10**5 / this rule:
-        #   certify, w = 1..10 (1303 products)   0.064-0.065 / 0.19-0.20 /
-        #                                        0.062-0.063 / 0.064-0.067 s
-        #   verify_all(7) (1409)                 0.039-0.044 / 0.063-0.066 /
-        #                                        0.039-0.040 / 0.033-0.034 s
-        #   lambda_i([1,1]) * lambda_j([1,1]),
-        #     i, j <= 4, and lambda_n(n, [alpha]),
-        #     n, weight(alpha) <= 4 (160)        8.6-9.4 / 0.64-0.75 /
-        #                                        0.68-0.78 / 0.67-0.75 s
-        #   perfbench session, seed 1 (3126)     0.147-0.158 / 0.74-0.76 /
-        #                                        0.146-0.148 / 0.150-0.152 s
-        # The cuts from 9984 to 16080 make the same choices there.
-        #
-        # The per-pair route packs compositions into codes one bit per unit
-        # of weight, so a product heavier than _RANK_MAX_WEIGHT takes the
-        # trie whatever its work. The first terms are the heaviest.
-        #
-        # A per-pair product of weight w <= _TABLE_MAX_WEIGHT sums in a list
-        # read back through `_weight_table` when the 2**(w-1) codes of its
-        # top weight are at most twice the per-pair bound; any other is
-        # decoded and sorted. Both finishes timed warm on the per-pair
-        # products above (best of 3); dict only / table only / this cut /
-        # the better finish of each product:
-        #   certify 96.2 / 73.5 / 58.9 / 58.1 ms, verify_all(7) 34.7 / 31.7 /
-        #   23.0 / 22.7 ms, session 369.9 / 247.9 / 241.0 / 239.6 ms.
-        # Cuts at 1x and 3-4x the bound read within 4 %; counting the whole
-        # list, 2**(w+1) <= bound, up to 9 % slower.
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return QSymmElement._from_sorted(_mul_pairwise(self, other))
-        top = sum(next(iter(a))) + sum(next(iter(b)))
-        if top <= _RANK_MAX_WEIGHT:
-            bound = len(a) * len(b) * _delannoy(max(map(len, a)), max(map(len, b)))
-            if bound <= _TRIE_MIN_WORK or _pair_work(a, b) <= _TRIE_MIN_WORK:
-                by_table = top <= _TABLE_MAX_WEIGHT and 1 << top <= 2 * bound
-                return QSymmElement._from_sorted(_mul_pairwise(self, other, by_table))
+        route = _route(self._terms, other._terms)
+        if route != _TRIE:
+            return QSymmElement._from_sorted(_mul_pairwise(self, other, route == _TABLE))
         try:
             if hash(self) <= hash(other):  # commutative: one entry per pair
                 return _trie_product(self, other)

@@ -61,7 +61,7 @@ from .compositions import (
     _TABLE_KEYS,
     _TABLE_MAX_WEIGHT,
 )
-from .elements import QSymmElement
+from .elements import QSymmElement, Scalar, _mul_column
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
 from .symmetric import SymmPoly, e_compose_p, _p_in_e
@@ -107,12 +107,21 @@ _GENERATOR_ELEMENTS: dict[str, Callable[[int, Composition], QSymmElement]] = {
 }
 
 
-@lru_cache(maxsize=None)
+# The bound of `_expansion_vector`, whose misses this memo serves. A
+# certificate asks it only for the prefixes m[:-1] of its monomials.
+@lru_cache(maxsize=_TABLE_KEYS)
 def _expand_monomial(m: GeneratorMonomial, family: str) -> QSymmElement:
     if not m:
         return QSymmElement.one()
+    prefix, last = _column_operands(m, family)
+    return prefix * last
+
+
+def _column_operands(m: GeneratorMonomial, family: str) -> tuple[QSymmElement, QSymmElement]:
+    """The two factors of a nonunit monomial's expansion: the memoized
+    expansion of all its factors but the last, and the last's element."""
     alpha, n = m[-1]
-    return _expand_monomial(m[:-1], family) * _GENERATOR_ELEMENTS[family](n, alpha)
+    return _expand_monomial(m[:-1], family), _GENERATOR_ELEMENTS[family](n, alpha)
 
 
 def _int_coeff(c: int) -> int:
@@ -502,6 +511,19 @@ def _permutation_sign(perm: dict[int, int]) -> int:
     return sign
 
 
+def _product_fits(a: dict[Composition, Scalar], b: dict[Composition, Scalar], w: int) -> bool:
+    """True where the product of two term maps in canonical form is integral
+    and weighs w throughout, read off the operands: int coefficients only,
+    checked in C, and first (heaviest) and last (lightest) terms that weigh
+    w together. A zero operand fits."""
+    if not a or not b:
+        return True
+    return (
+        sum(next(iter(a))) + sum(next(iter(b))) == w == sum(next(reversed(a))) + sum(next(reversed(b)))
+        and set(map(type, a.values())) | set(map(type, b.values())) <= {int}
+    )
+
+
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Per-weight witness that the generator monomials form a basis: the
@@ -563,27 +585,26 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     _check_index(w, 1, "weight must be >= 1")
     if generators not in _GENERATOR_ELEMENTS:
         raise ValueError(f"unknown generator family {generators!r}")
-    comps, index, _ = _table(w)
+    comps, _, get_w = _table(w)
     monos = enumerate_generator_monomials(w)
     if len(comps) != len(monos):
         raise ConsistencyError(
             f"weight {w}: {len(monos)} generator monomials vs "
             f"{len(comps)} compositions; transition matrix is not square"
         )
-    columns: list[dict[int, int]] = []
+    rows = tuple(range(len(comps)))  # one int object per row, shared by every column
+    columns = []
     for mono in monos:
-        el = _expand_monomial(mono, generators)
-        # one pass: a composition of another weight has index -1, and a
-        # coefficient in canonical form is integral exactly when it is an int
-        column = {index.get(comp, -1): q for comp, q in el.terms() if type(q) is int}
-        if len(column) < len(el) or -1 in column:
+        prefix, last = _column_operands(mono, generators)
+        if not _product_fits(prefix._terms, last._terms, w):
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
-        columns.append(column)
-    # the elimination consumes the dicts, so keep the columns first
-    sparse = tuple((tuple(col), tuple(col.values())) for col in columns)
+        # each column is summed by code and read in table order: no element
+        values = _mul_column(prefix, last, w, get_w)
+        columns.append((tuple(compress(rows, values)), tuple(filter(None, values))))
+    sparse = tuple(columns)
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
-    det = _det_unit_pivot(columns)
+    det = _det_unit_pivot([dict(zip(*col)) for col in sparse])
     if det not in (1, -1):
         raise ConsistencyError(
             f"weight {w} transition matrix has determinant {det}, not +1/-1"

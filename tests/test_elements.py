@@ -537,14 +537,17 @@ class TestLeadingTerm:
 
 
 class TestHomogeneity:
-    def test_homogeneous_weight_is_deprecated(self):
-        for el, expected in [
-            (QSymmElement({(1, 1): 2, (2,): 1}), 2),
-            (QSymmElement({(1, 1): 2, (1,): 1}), None),
-            (QSymmElement.zero(), None),
+    def test_homogeneous_weight_is_gone(self):
+        # removed after its deprecation; the weights `is_homogeneous` accepts
+        # below 5, for the elements the old method's table held (it gave 2,
+        # None and None)
+        assert not hasattr(QSymmElement, "homogeneous_weight")
+        for el, weights in [
+            (QSymmElement({(1, 1): 2, (2,): 1}), [2]),
+            (QSymmElement({(1, 1): 2, (1,): 1}), []),
+            (QSymmElement.zero(), [0, 1, 2, 3, 4]),  # vacuously
         ]:
-            with pytest.warns(DeprecationWarning, match="use is_homogeneous"):
-                assert el.homogeneous_weight() == expected
+            assert [w for w in range(5) if el.is_homogeneous(w)] == weights
 
 
 class TestTextAndJson:

@@ -17,7 +17,7 @@ from qsymm.compositions import (
     weight,
 )
 from qsymm.elements import QSymmElement
-from qsymm import generators
+from qsymm import elements, generators
 from qsymm.errors import ConsistencyError, ParseError
 from qsymm.lambda_ops import elementary_gen
 from qsymm.generators import (
@@ -26,6 +26,7 @@ from qsymm.generators import (
     _UNIT,
     GeneratorPolynomial,
     _det_unit_pivot,
+    _GENERATOR_ELEMENTS,
     _expand_by_dict,
     _expansion_vector,
     _express_by_dict,
@@ -50,6 +51,8 @@ from qsymm.generators import (
 )
 
 from helpers import brute_generator_monomials, cofactor_det, solve_exact
+
+_GENERATOR_FAMILIES = sorted(_GENERATOR_ELEMENTS)
 
 
 def gen(alpha, n):
@@ -577,14 +580,17 @@ class TestCertificates:
         ],
     )
     def test_malformed_expansion_is_a_consistency_error(self, monkeypatch, malform):
+        # A column is the product of the operands `_column_operands` gives
+        # and is checked on them; here the bad column's are the unit and its
+        # malformed expansion.
         bad = enumerate_generator_monomials(3)[2]
-        expand_monomial = generators._expand_monomial
+        column_operands = generators._column_operands
 
-        def expander(mono, family):
-            el = expand_monomial(mono, family)
-            return malform(el) if mono == bad else el
+        def operands(mono, family):
+            prefix, last = column_operands(mono, family)
+            return (QSymmElement.one(), malform(prefix * last)) if mono == bad else (prefix, last)
 
-        monkeypatch.setattr(generators, "_expand_monomial", expander)
+        monkeypatch.setattr(generators, "_column_operands", operands)
         message = f"expansion of {format_monomial(bad)} is malformed"
         with pytest.raises(ConsistencyError, match=re.escape(message)):
             freeness_certificate(3)
@@ -597,14 +603,60 @@ class TestCertificates:
         with pytest.raises(ValueError, match="unknown generator family 'lyndon'"):
             freeness_certificate(2, "lyndon")
 
-    def test_expand_reuses_the_certificate_expansions(self):
-        # the certificate and `expand` key the elementary expansions alike
-        _expansion_vector.cache_clear()
-        freeness_certificate(5)
-        size = generators._expand_monomial.cache_info().currsize
-        g = GeneratorPolynomial._from_dict({m: 1 for m in enumerate_generator_monomials(5)})
-        assert g.expand() == _expand_by_dict(g)
-        assert generators._expand_monomial.cache_info().currsize == size
+    def test_columns_are_the_expansions_read_through_the_index(self):
+        # the reference: each monomial's memoized expansion, read through
+        # the compositions' index into a column in table order
+        for family in _GENERATOR_FAMILIES:
+            for w in range(1, 9):
+                cert = freeness_certificate(w, family)
+                index = {comp: i for i, comp in enumerate(cert.row_order)}
+                for mono, column in zip(cert.col_order, cert.columns):
+                    el = generators._expand_monomial(mono, family)
+                    expected = {index[comp]: q for comp, q in el.terms()}
+                    assert column == (tuple(expected), tuple(expected.values()))
+                    assert all(type(q) is int for q in column[1])
+
+    @pytest.mark.parametrize("cut", [0, 10**12], ids=["all-trie", "no-trie"])
+    def test_columns_are_the_same_on_every_route(self, monkeypatch, cut):
+        # every column on the trie, or none, against the fitted cut
+        expected = {(family, w): freeness_certificate(w, family) for family in _GENERATOR_FAMILIES for w in range(1, 9)}
+        calls = []
+        trie_sum = elements._trie_sum
+        monkeypatch.setattr(elements, "_trie_sum", lambda a, b: calls.append(1) or trie_sum(a, b))
+        monkeypatch.setattr(elements, "_TRIE_MIN_WORK", cut)
+        for (family, w), cert in expected.items():
+            assert freeness_certificate(w, family) == cert
+        assert (len(calls) > 0) == (cut == 0)
+
+    def test_memo_keeps_prefixes_only(self):
+        # A fresh interpreter, so that no earlier test fills the memos. After
+        # w = 1..10, with the certificates dropped, the expansion memo holds
+        # only the monomials' prefixes: a weight-10 monomial misses it once,
+        # its prefix hits. The memory left is 4.3 MiB; keeping every column
+        # held 8.1 MiB.
+        probe = (
+            "import gc, tracemalloc\n"
+            "tracemalloc.start()\n"
+            "from qsymm import freeness_certificate, generators\n"
+            "held = tracemalloc.get_traced_memory()[0]\n"
+            "for w in range(1, 11):\n"
+            "    freeness_certificate(w)\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0] - held)\n"
+            "tracemalloc.stop()\n"
+            "memo = generators._expand_monomial\n"
+            "for mono in generators.enumerate_generator_monomials(10):\n"
+            "    before = memo.cache_info()\n"
+            "    memo(mono, 'elementary')\n"
+            "    after = memo.cache_info()\n"
+            "    print(after.misses - before.misses, after.hits - before.hits)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(generators.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        held, *probes = proc.stdout.splitlines()
+        assert int(held) < 6 * 2**20
+        assert len(probes) == 512
+        assert set(probes) == {"1 1"}
 
     def test_certificate_json_shape(self):
         cert = freeness_certificate(3)

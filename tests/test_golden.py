@@ -11,8 +11,9 @@ weight-256 bound of the per-pair route and far above it, mixed-weight
 rational products of weight 12 and 13 (either side of the per-pair route's
 code tables), an expansion whose coefficients overflow the packed weight
 vectors' 64-bit slots, the JSON `express` of a weight-10 composition, and
-malformed literals. Digests pin `verify-all --max-weight 7 --json` and
-the certificates of weights 9 and 10.
+malformed literals. Digests pin `verify-all --max-weight 7 --json`, the
+certificates of weights 9 and 10 and the product-family certificate of
+weight 9.
 """
 
 import hashlib
@@ -83,3 +84,13 @@ CERTIFY_SHA256 = {
 @pytest.mark.parametrize("w", sorted(CERTIFY_SHA256))
 def test_certify_digest(w, tmp_path):
     assert _stdout_digest(["certify", "--weight", str(w), "--json", "-"], tmp_path) == CERTIFY_SHA256[w]
+
+
+# `certify --weight 9 --generators product --json -`: the product family
+# above the corpus's weights 1-6, at the weight of the first digest above.
+CERTIFY_PRODUCT_9_SHA256 = "14c621e57d1b4c2a35c1ea80806721ec802c557f27216e580bba4163b06718bd"
+
+
+def test_certify_product_digest(tmp_path):
+    argv = ["certify", "--weight", "9", "--generators", "product", "--json", "-"]
+    assert _stdout_digest(argv, tmp_path) == CERTIFY_PRODUCT_9_SHA256

@@ -31,7 +31,10 @@ MEMOS = {
     # products of at most 2**15 terms: about 1.1 GiB full of products the
     # size of lambda_4([1,1])**2
     "qsymm.elements._trie_product": 512,
-    "qsymm.generators._expand_monomial": None,
+    # the prefixes m[:-1] certificate columns multiply out, and the misses of
+    # `_expansion_vector`, whose bound it shares: 79 entries after the
+    # certificates of weight <= 10
+    "qsymm.generators._expand_monomial": 4096,
     # one packed vector per key of weight <= 12: 38.9 MiB full, the
     # vectors alone (their expansions are `_expand_monomial`'s)
     "qsymm.generators._expansion_vector": 4096,
