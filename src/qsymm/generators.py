@@ -7,14 +7,12 @@ the corresponding lambda powers out in the quasi-shuffle algebra.
 
 `express` inverts the expansion constructively: given any composition it
 returns the unique integer generator polynomial whose expansion is exactly
-that composition. The rewriting recurses along the weight-length-lex order:
-
-- a Lyndon word is the content-gcd power sum of its reduced word, which the
-  Newton identities turn into a generator polynomial;
-- a word with several Lyndon factor blocks is, up to wll-smaller terms, the
-  quasi-shuffle product of its leading block and its tail;
-- a pure power of a Lyndon word is, up to wll-smaller terms, the expansion
-  of an elementary-composed-with-power-sum polynomial.
+that composition. The rewriting recurses along the weight-length-lex order,
+on the Lyndon factor blocks of the word; up to wll-smaller terms,
+- one block l^k (k = 1 for a Lyndon word) is the expansion of e_k composed
+  with the content-gcd power sum, in the generators of l's reduced word;
+- several blocks are the quasi-shuffle product of the leading block and
+  the tail.
 
 Each branch asserts at runtime that the remainder really drops in the wll
 order; a violation raises ConsistencyError rather than producing a wrong
@@ -30,6 +28,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
+from math import prod
 from typing import Callable, Iterable, Iterator
 
 from ._sparse import (
@@ -64,7 +63,7 @@ from .compositions import (
 from .elements import QSymmElement, Scalar, _mul_column
 from .errors import ConsistencyError, ParseError
 from .lambda_ops import elementary_gen
-from .symmetric import SymmPoly, e_compose_p, _p_in_e
+from .symmetric import e_compose_p
 
 # A factor is (base composition, lambda index); a monomial is a tuple of
 # factors sorted by (weight, base, index), one entry per power.
@@ -100,28 +99,21 @@ def _monomial_sort_key(m: GeneratorMonomial) -> tuple:
     return tuple(_factor_key(f) for f in m)
 
 
-# each generator family's element for the factor (alpha, n)
-_GENERATOR_ELEMENTS: dict[str, Callable[[int, Composition], QSymmElement]] = {
-    "elementary": elementary_gen,
-    "product": lambda n, alpha: product_gen(n, alpha).expand(),
-}
-
-
 # The bound of `_expansion_vector`, whose misses this memo serves. A
 # certificate asks it only for the prefixes m[:-1] of its monomials.
 @lru_cache(maxsize=_TABLE_KEYS)
-def _expand_monomial(m: GeneratorMonomial, family: str) -> QSymmElement:
+def _expand_monomial(m: GeneratorMonomial) -> QSymmElement:
     if not m:
         return QSymmElement.one()
-    prefix, last = _column_operands(m, family)
+    prefix, last = _column_operands(m)
     return prefix * last
 
 
-def _column_operands(m: GeneratorMonomial, family: str) -> tuple[QSymmElement, QSymmElement]:
+def _column_operands(m: GeneratorMonomial) -> tuple[QSymmElement, QSymmElement]:
     """The two factors of a nonunit monomial's expansion: the memoized
     expansion of all its factors but the last, and the last's element."""
     alpha, n = m[-1]
-    return _expand_monomial(m[:-1], family), _GENERATOR_ELEMENTS[family](n, alpha)
+    return _expand_monomial(m[:-1]), elementary_gen(n, alpha)
 
 
 def _int_coeff(c: int) -> int:
@@ -172,22 +164,12 @@ class GeneratorPolynomial(SparseTerms):
 def _expand_by_dict(g: GeneratorPolynomial) -> QSymmElement:
     acc: dict[Composition, int] = {}
     for mono, c in g._terms.items():
-        _iadd_scaled(acc, _expand_monomial(mono, "elementary")._terms, c)
+        _iadd_scaled(acc, _expand_monomial(mono)._terms, c)
     return QSymmElement._from_dict(acc)
 
 
 def expand(g: GeneratorPolynomial) -> QSymmElement:
     return g.expand()
-
-
-def _symm_to_generators(f: SymmPoly, alpha: Composition) -> GeneratorPolynomial:
-    """Reinterpret an integer e-basis polynomial with e_j read as the j-th
-    generator of `alpha`: a partition's parts descend, a monomial's factors
-    ascend. Only `_p_in_e` and `e_compose_p` results come here, and both are
-    integral e-basis polynomials."""
-    return GeneratorPolynomial._from_dict(
-        {tuple((alpha, j) for j in reversed(part)): q for part, q in f.terms()}
-    )
 
 
 def express(beta: Iterable[int]) -> GeneratorPolynomial:
@@ -206,21 +188,17 @@ def express(beta: Iterable[int]) -> GeneratorPolynomial:
 def _express(beta: Composition) -> GeneratorPolynomial:
     # Recurse through `express`, never `_express`: the benchmark's tracer
     # counts every `express` call, memo hits included.
-    if is_lyndon(beta):
-        g = content_gcd(beta)
-        alpha = reduce_content(beta)
-        return _symm_to_generators(_p_in_e(g), alpha)
-    factors = cfl_factorize(beta)
-    if len(factors) >= 2:
-        head_word, head_mult = factors[0]
-        head = concat_power(head_word, head_mult)
-        tail = beta[len(head):]
-        candidate = express(head) * express(tail)
+    (lyndon, mult), *rest = cfl_factorize(beta)
+    if rest:
+        head = concat_power(lyndon, mult)
+        candidate = express(head) * express(beta[len(head):])
     else:
-        lyndon, mult = factors[0]
-        g = content_gcd(lyndon)
-        alpha = reduce_content(lyndon)
-        candidate = _symm_to_generators(e_compose_p(mult, g), alpha)
+        # e_mult o p_g, integral, with e_j read as the j-th generator of the
+        # reduced word alpha: a partition p's parts descend, a monomial's ascend
+        alpha, f = reduce_content(lyndon), e_compose_p(mult, content_gcd(lyndon))
+        candidate = GeneratorPolynomial._from_dict(
+            {tuple((alpha, j) for j in reversed(p)): q for p, q in f.terms()}
+        )
     return candidate - express_element(_remainder(candidate, beta))
 
 
@@ -305,7 +283,7 @@ def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
 @lru_cache(maxsize=_TABLE_KEYS)
 def _expansion_vector(m: GeneratorMonomial) -> tuple[int, int | None, int]:
     """`_pack` of a generator monomial's expansion."""
-    return _pack(_expand_monomial(m, "elementary")._terms, monomial_weight(m), _COMPOSITIONS)
+    return _pack(_expand_monomial(m)._terms, monomial_weight(m), _COMPOSITIONS)
 
 
 @lru_cache(maxsize=_TABLE_KEYS)
@@ -578,12 +556,13 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
 
     `generators` selects which family labels the columns: the lambda-power
     generators themselves ("elementary") or their product-form counterparts
-    ("product"). Raises ConsistencyError if the matrix is not square or the
-    determinant is not +1 or -1, since either would falsify freeness.
+    ("product"), whose columns are M_elem * T (`_product_columns`). Raises
+    ConsistencyError if the matrix is not square, T is not unitriangular or
+    the determinant is not +1 or -1, since each would falsify freeness.
     The result is not cached: a caller that reuses a certificate keeps it.
     """
     _check_index(w, 1, "weight must be >= 1")
-    if generators not in _GENERATOR_ELEMENTS:
+    if generators not in ("elementary", "product"):
         raise ValueError(f"unknown generator family {generators!r}")
     comps, _, get_w = _table(w)
     monos = enumerate_generator_monomials(w)
@@ -595,7 +574,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     rows = tuple(range(len(comps)))  # one int object per row, shared by every column
     columns = []
     for mono in monos:
-        prefix, last = _column_operands(mono, generators)
+        prefix, last = _column_operands(mono)
         if not _product_fits(prefix._terms, last._terms, w):
             raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
         # each column is summed by code and read in table order: no element
@@ -605,6 +584,9 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
     det = _det_unit_pivot([dict(zip(*col)) for col in sparse])
+    if generators == "product":
+        sparse, diagonal = _product_columns(monos, sparse, rows)
+        det *= diagonal
     if det not in (1, -1):
         raise ConsistencyError(
             f"weight {w} transition matrix has determinant {det}, not +1/-1"
@@ -628,13 +610,31 @@ def _product_gens_up_to(alpha: Composition, order: int) -> tuple[GeneratorPolyno
     series = [GeneratorPolynomial.one()] + [GeneratorPolynomial.zero()] * order
     gens: list[GeneratorPolynomial] = []
     for k in range(1, order + 1):
-        e_k = GeneratorPolynomial._from_sorted({((alpha, k),): 1})
-        target = e_k if k % 2 == 0 else -e_k
-        g_k = series[k] - target
+        g_k = series[k] - (-1) ** k * GeneratorPolynomial._from_sorted({((alpha, k),): 1})
         gens.append(g_k)
         for j in range(order, k - 1, -1):
             series[j] = series[j] - g_k * series[j - k]
     return tuple(gens)
+
+
+def _product_columns(monos: list[GeneratorMonomial], elementary: tuple, rows: tuple) -> tuple[tuple, int]:
+    """The product family's sparse columns M_elem * T over `rows`, given the
+    elementary family's, and det T. Column m of T, the g_n(alpha) of m's
+    factors multiplied in elementary monomials, must be +1 or -1 times m
+    plus only monomials with more factors: T is triangular by factor count."""
+    col_of = {m: j for j, m in enumerate(monos)}
+    columns, det = [], 1
+    for mono in monos:
+        t = prod((_product_gens_up_to(alpha, n)[-1] for alpha, n in mono), start=_UNIT)
+        det *= t.coefficient(mono)  # stays +1 or -1 just when this diagonal entry is
+        if det not in (1, -1) or any(m not in col_of or m != mono and len(m) <= len(mono) for m in t._terms):
+            raise ConsistencyError(f"product form of {format_monomial(mono)} is not unitriangular")
+        values = [0] * len(rows)
+        for m, c in t._terms.items():
+            for i, q in zip(*elementary[col_of[m]]):
+                values[i] += c * q
+        columns.append((tuple(compress(rows, values)), tuple(filter(None, values))))
+    return tuple(columns), det
 
 
 def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> GeneratorPolynomial:
@@ -645,13 +645,12 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
     Each g_n is the n-th lambda-power generator up to sign plus products of
     lower ones, so the two families generate the same ring. The defining
     product relation is the only reading under which that triangularity
-    holds; it is asserted by the test suite rather than assumed. The
-    relation settles g_n at step n, so g_n does not depend on any
-    `order` >= n.
+    holds; every product-family certificate checks it rather than assumes
+    it (`_product_columns`). The relation settles g_n at step n, so g_n
+    does not depend on any `order` >= n.
     """
     alpha = composition(alpha)
-    if order is None:
-        order = n
+    order = n if order is None else order
     _check_index(n, 1, "need 1 <= n <= order")
     _check_index(order, n, "need 1 <= n <= order")
     make_monomial([(alpha, 1)])  # validates alpha is elementary Lyndon

@@ -26,7 +26,6 @@ from qsymm.generators import (
     _UNIT,
     GeneratorPolynomial,
     _det_unit_pivot,
-    _GENERATOR_ELEMENTS,
     _expand_by_dict,
     _expansion_vector,
     _express_by_dict,
@@ -52,7 +51,16 @@ from qsymm.generators import (
 
 from helpers import brute_generator_monomials, cofactor_det, solve_exact
 
-_GENERATOR_FAMILIES = sorted(_GENERATOR_ELEMENTS)
+_GENERATOR_FAMILIES = ("elementary", "product")
+
+
+def product_expansion(mono):
+    """The reference expansion of a product-form monomial: its factors'
+    elements multiplied out left to right, with no shared prefixes."""
+    acc = QSymmElement.one()
+    for alpha, n in mono:
+        acc = acc * product_gen(n, alpha).expand()
+    return acc
 
 
 def gen(alpha, n):
@@ -428,9 +436,11 @@ class TestUnitPivotDeterminant:
         assert unit_pivot_det(m) == cofactor_det(m) == 1
 
     def test_certificates_need_no_bareiss(self, monkeypatch):
+        # the product family's columns never reach the elimination
         monkeypatch.setattr(generators, "det_bareiss", no_remainder)
-        for w in range(1, 12):
-            assert freeness_certificate(w).is_unimodular
+        for family in _GENERATOR_FAMILIES:
+            for w in range(1, 12):
+                assert freeness_certificate(w, family).is_unimodular
 
     def test_permuted_certificate_matrices(self, monkeypatch):
         """Permuted rows and columns send the elimination through deferred
@@ -586,8 +596,8 @@ class TestCertificates:
         bad = enumerate_generator_monomials(3)[2]
         column_operands = generators._column_operands
 
-        def operands(mono, family):
-            prefix, last = column_operands(mono, family)
+        def operands(mono):
+            prefix, last = column_operands(mono)
             return (QSymmElement.one(), malform(prefix * last)) if mono == bad else (prefix, last)
 
         monkeypatch.setattr(generators, "_column_operands", operands)
@@ -600,18 +610,46 @@ class TestCertificates:
             assert freeness_certificate(w) == freeness_certificate(w, "elementary")
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown generator family 'lyndon'"):
-            freeness_certificate(2, "lyndon")
+        # an unhashable family is unknown too, not a TypeError
+        for family in ("lyndon", ["product"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown generator family {family!r}")):
+                freeness_certificate(2, family)
+
+    @pytest.mark.parametrize(
+        "alpha, n, malform",
+        [
+            ((1,), 2, lambda g: 2 * g),  # a diagonal entry of 2
+            ((1,), 2, lambda g: g + GeneratorPolynomial.one()),  # a term with fewer factors
+            ((1,), 3, lambda g: g + gen((1, 2), 1)),  # another term with as many factors
+        ],
+        ids=["diagonal", "fewer-factors", "as-many-factors"],
+    )
+    def test_product_form_not_unitriangular_is_a_consistency_error(self, monkeypatch, alpha, n, malform):
+        # T's column for the generator e_n(alpha) is g_n(alpha) itself
+        gens_up_to = generators._product_gens_up_to
+
+        def malformed(base, order):
+            gens = gens_up_to(base, order)
+            return gens[:-1] + (malform(gens[-1]),) if (base, order) == (alpha, n) else gens
+
+        monkeypatch.setattr(generators, "_product_gens_up_to", malformed)
+        bad = make_monomial([(alpha, n)])
+        message = f"product form of {format_monomial(bad)} is not unitriangular"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            freeness_certificate(n, "product")
+        assert freeness_certificate(n).is_unimodular
 
     def test_columns_are_the_expansions_read_through_the_index(self):
-        # the reference: each monomial's memoized expansion, read through
-        # the compositions' index into a column in table order
+        # the reference: each elementary monomial's memoized expansion, and
+        # each product-form monomial's factor-by-factor expansion, read
+        # through the compositions' index into a column in table order
+        reference = {"elementary": generators._expand_monomial, "product": product_expansion}
         for family in _GENERATOR_FAMILIES:
             for w in range(1, 9):
                 cert = freeness_certificate(w, family)
                 index = {comp: i for i, comp in enumerate(cert.row_order)}
                 for mono, column in zip(cert.col_order, cert.columns):
-                    el = generators._expand_monomial(mono, family)
+                    el = reference[family](mono)
                     expected = {index[comp]: q for comp, q in el.terms()}
                     assert column == (tuple(expected), tuple(expected.values()))
                     assert all(type(q) is int for q in column[1])
@@ -647,7 +685,7 @@ class TestCertificates:
             "memo = generators._expand_monomial\n"
             "for mono in generators.enumerate_generator_monomials(10):\n"
             "    before = memo.cache_info()\n"
-            "    memo(mono, 'elementary')\n"
+            "    memo(mono)\n"
             "    after = memo.cache_info()\n"
             "    print(after.misses - before.misses, after.hits - before.hits)\n"
         )
@@ -709,16 +747,18 @@ class TestProductFormGenerators:
             assert series[k] == expected
 
     def test_product_expansion_matches_factor_loop(self):
-        # the plain loop over the factors, without the prefix memo
-        def reference(mono):
-            acc = QSymmElement.one()
-            for alpha, n in mono:
-                acc = acc * product_gen(n, alpha).expand()
-            return acc
-
-        for w in range(1, 7):
+        # M_elem * T: T's column is the product form of the monomial in
+        # elementary monomials, each expanded through the prefix memo;
+        # against the plain loop over the product-form factors
+        for w in range(1, 9):
             for mono in enumerate_generator_monomials(w):
-                assert generators._expand_monomial(mono, "product") == reference(mono)
+                t = GeneratorPolynomial.one()
+                for alpha, n in mono:
+                    t = t * product_gen(n, alpha)
+                via_t = QSymmElement.zero()
+                for m, c in t.terms():
+                    via_t = via_t + c * generators._expand_monomial(m)
+                assert via_t == product_expansion(mono)
 
     def test_product_certificates_unimodular(self):
         for w in range(1, 6):

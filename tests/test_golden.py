@@ -12,8 +12,8 @@ rational products of weight 12 and 13 (either side of the per-pair route's
 code tables), an expansion whose coefficients overflow the packed weight
 vectors' 64-bit slots, the JSON `express` of a weight-10 composition, and
 malformed literals. Digests pin `verify-all --max-weight 7 --json`, the
-certificates of weights 9 and 10 and the product-family certificate of
-weight 9.
+certificates of weights 9 and 10 and the product-family certificates of
+weights 9, 10 and 11.
 """
 
 import hashlib
@@ -86,11 +86,19 @@ def test_certify_digest(w, tmp_path):
     assert _stdout_digest(["certify", "--weight", str(w), "--json", "-"], tmp_path) == CERTIFY_SHA256[w]
 
 
-# `certify --weight 9 --generators product --json -`: the product family
-# above the corpus's weights 1-6, at the weight of the first digest above.
-CERTIFY_PRODUCT_9_SHA256 = "14c621e57d1b4c2a35c1ea80806721ec802c557f27216e580bba4163b06718bd"
+# `certify --weight W --generators product --json -`: the product family
+# above the corpus's weights 1-6, at the weights of the digests above and
+# at weight 11. Weights 10 and 11 were recorded while the product columns
+# were still expanded factor by factor and eliminated on their own, before
+# they were read as M_elem * T.
+CERTIFY_PRODUCT_SHA256 = {
+    9: "14c621e57d1b4c2a35c1ea80806721ec802c557f27216e580bba4163b06718bd",
+    10: "e55df27b1ce458c6d753341e6732031e367849abe0c83ef275e465f7d9953a69",
+    11: "028e2292a58bc1421bfd85008b5d4d0a491d5274338263856b3551fe4107d09b",
+}
 
 
 def test_certify_product_digest(tmp_path):
-    argv = ["certify", "--weight", "9", "--generators", "product", "--json", "-"]
-    assert _stdout_digest(argv, tmp_path) == CERTIFY_PRODUCT_9_SHA256
+    for w, digest in sorted(CERTIFY_PRODUCT_SHA256.items()):
+        argv = ["certify", "--weight", str(w), "--generators", "product", "--json", "-"]
+        assert _stdout_digest(argv, tmp_path) == digest, f"weight {w}"
