@@ -152,19 +152,18 @@ _TABLE_KEYS = 1 << _TABLE_MAX_WEIGHT
 
 
 @lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
-def _weight_table(w: int) -> tuple[tuple[Composition, ...], dict[Composition, int], Callable]:
+def _weight_table(w: int) -> tuple[tuple[Composition, ...], Callable]:
     """Every composition of weight w in canonical order, as `_decode`'s
     tuples so that products key each by one object and dict lookups match
-    by identity; their {composition: index}; and a getter of their entries
-    in a list indexed by code (the odd ints from 2**w to 2**(w+1)), which
-    also reads index 0, no code, to return a tuple even for one code."""
+    by identity, and a getter of their entries in a list indexed by code
+    (the odd ints from 2**w to 2**(w+1)), which also reads index 0, no
+    code, to return a tuple even for one code."""
     decode = _decode if w <= _TABLE_MAX_WEIGHT else _decode.__wrapped__  # spare the memo
     codes = sorted(range(1 << w | 1, 2 << w, 2), key=_code_rank, reverse=True)
-    comps = tuple(decode(code)[1] for code in codes)
-    return comps, {c: i for i, c in enumerate(comps)}, itemgetter(*codes, 0)
+    return tuple(decode(code)[1] for code in codes), itemgetter(*codes, 0)
 
 
-def _table(w: int) -> tuple[tuple[Composition, ...], dict[Composition, int], Callable]:
+def _table(w: int) -> tuple[tuple[Composition, ...], Callable]:
     """`_weight_table(w)` for any w >= 0, built afresh above _TABLE_MAX_WEIGHT."""
     return _weight_table(w) if w <= _TABLE_MAX_WEIGHT else _weight_table.__wrapped__(w)
 

@@ -134,7 +134,7 @@ def _mul_by_table(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar]) 
     table = _sum_pairs(ta, tb, [0] * (2 << top))
     out: dict[Composition, Scalar] = {}
     for w in range(top, sum(next(reversed(ta))) + sum(next(reversed(tb))) - 1, -1):
-        comps, _, get_w = _weight_table(w)
+        comps, get_w = _weight_table(w)
         values = get_w(table)
         out.update(zip(compress(comps, values), filter(None, values)))
     for comp, q in out.items():

@@ -27,9 +27,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._sparse import (
     SparseTerms,
@@ -99,8 +99,8 @@ def _monomial_sort_key(m: GeneratorMonomial) -> tuple:
     return tuple(_factor_key(f) for f in m)
 
 
-# The bound of `_expansion_vector`, whose misses this memo serves. A
-# certificate asks it only for the prefixes m[:-1] of its monomials.
+# The prefixes m[:-1] that columns (`_column`) multiply out, and the
+# monomials of `expand` sums that the packed vectors cannot hold.
 @lru_cache(maxsize=_TABLE_KEYS)
 def _expand_monomial(m: GeneratorMonomial) -> QSymmElement:
     if not m:
@@ -114,6 +114,29 @@ def _column_operands(m: GeneratorMonomial) -> tuple[QSymmElement, QSymmElement]:
     expansion of all its factors but the last, and the last's element."""
     alpha, n = m[-1]
     return _expand_monomial(m[:-1]), elementary_gen(n, alpha)
+
+
+def _column(m: GeneratorMonomial, w: int, get_w: Callable) -> tuple[int, ...]:
+    """A nonunit weight-w monomial's expansion, summed by code and read by
+    `get_w`: table order, zeros included, then one 0. Raises ConsistencyError
+    unless its operands' product is integral and weighs w throughout."""
+    prefix, last = _column_operands(m)
+    if not _product_fits(prefix._terms, last._terms, w):
+        raise ConsistencyError(f"expansion of {format_monomial(m)} is malformed")
+    return _mul_column(prefix, last, w, get_w)
+
+
+def _product_fits(a: dict[Composition, Scalar], b: dict[Composition, Scalar], w: int) -> bool:
+    """True where the product of two term maps in canonical form is integral
+    and weighs w throughout, read off the operands: int coefficients only,
+    checked in C, and first (heaviest) and last (lightest) terms that weigh
+    w together. A zero operand fits."""
+    if not a or not b:
+        return True
+    return (
+        sum(next(iter(a))) + sum(next(iter(b))) == w == sum(next(reversed(a))) + sum(next(reversed(b)))
+        and set(map(type, a.values())) | set(map(type, b.values())) <= {int}
+    )
 
 
 def _int_coeff(c: int) -> int:
@@ -256,41 +279,43 @@ _UNIT = GeneratorPolynomial._from_sorted({UNIT_MONOMIAL: 1})
 
 
 @lru_cache(maxsize=_PACK_MAX_WEIGHT + 1)
-def _slot_table(w: int) -> tuple[int, tuple[dict[Composition, int], dict[GeneratorMonomial, int]]]:
+def _slot_table(w: int) -> tuple[int, tuple[tuple[Composition, ...], list[GeneratorMonomial]]]:
     """The bias 2**(_SLOT_BITS-1) in every slot of weight w, and each
-    basis's {key: slot}, keys in canonical order."""
-    index = _weight_table(w)[1]
+    basis's keys in canonical order (the compositions `_weight_table`'s)."""
     monos = enumerate_generator_monomials(w) if w else [UNIT_MONOMIAL]
-    bias = int.from_bytes(_SLOT_LIMIT.to_bytes(_SLOT_BITS // 8, sys.byteorder) * len(index), sys.byteorder)
-    return bias, (index, {m: i for i, m in enumerate(monos)})
+    bias = int.from_bytes(_SLOT_LIMIT.to_bytes(_SLOT_BITS // 8, sys.byteorder) * len(monos), sys.byteorder)
+    return bias, (_weight_table(w)[0], monos)
 
 
-def _pack(terms: dict, w: int, basis: int) -> tuple[int, int | None, int]:
-    """(weight, packed vector or None where it cannot hold the nonzero
-    weight-w terms, largest |coefficient|), built in O(slots): an array's
-    two's-complement digits, read as one int, made signed by the bias."""
-    top = max(map(abs, terms.values()))
-    if w > _PACK_MAX_WEIGHT or top >= _SLOT_LIMIT:
+def _pack(values: Sequence[int], w: int) -> tuple[int, int | None, int]:
+    """(weight, packed vector or None where it cannot hold the weight-w
+    values, given in slot order, largest |value|): an array's two's-complement
+    digits, read as one int, made signed by the bias."""
+    top = max(map(abs, values))
+    if top >= _SLOT_LIMIT:
         return w, None, top
-    bias, bases = _slot_table(w)
-    slots = bases[basis]
-    vals = array("q", bytes(len(slots) * _SLOT_BITS // 8))
-    for key, q in terms.items():
-        vals[slots[key]] = q
-    return w, (int.from_bytes(vals, sys.byteorder) ^ bias) - bias, top
+    bias = _slot_table(w)[0]
+    return w, (int.from_bytes(array("q", values), sys.byteorder) ^ bias) - bias, top
 
 
 @lru_cache(maxsize=_TABLE_KEYS)
 def _expansion_vector(m: GeneratorMonomial) -> tuple[int, int | None, int]:
-    """`_pack` of a generator monomial's expansion."""
-    return _pack(_expand_monomial(m)._terms, monomial_weight(m), _COMPOSITIONS)
+    """`_pack` of a generator monomial's expansion, its `_column` read
+    without the trailing 0; None above _PACK_MAX_WEIGHT."""
+    w = monomial_weight(m)
+    if w > _PACK_MAX_WEIGHT:
+        return w, None, 0
+    return _pack(_column(m, w, _weight_table(w)[1])[:-1] if m else (1,), w)
 
 
 @lru_cache(maxsize=_TABLE_KEYS)
 def _polynomial_vector(g: GeneratorPolynomial) -> tuple[int, int | None, int]:
     """`_pack` of a nonzero homogeneous generator polynomial, such as
-    `express(beta)`."""
-    return _pack(g._terms, monomial_weight(next(iter(g._terms))), _MONOMIALS)
+    `express(beta)`, read in slot order; None above _PACK_MAX_WEIGHT."""
+    w = monomial_weight(next(iter(g._terms)))
+    if w > _PACK_MAX_WEIGHT:
+        return w, None, 0
+    return _pack([*map(g._terms.get, _slot_table(w)[1][_MONOMIALS], repeat(0))], w)
 
 
 def _packed_sum(pairs: Iterable[tuple], vector: Callable, basis: int) -> tuple[dict, int] | None:
@@ -489,19 +514,6 @@ def _permutation_sign(perm: dict[int, int]) -> int:
     return sign
 
 
-def _product_fits(a: dict[Composition, Scalar], b: dict[Composition, Scalar], w: int) -> bool:
-    """True where the product of two term maps in canonical form is integral
-    and weighs w throughout, read off the operands: int coefficients only,
-    checked in C, and first (heaviest) and last (lightest) terms that weigh
-    w together. A zero operand fits."""
-    if not a or not b:
-        return True
-    return (
-        sum(next(iter(a))) + sum(next(iter(b))) == w == sum(next(reversed(a))) + sum(next(reversed(b)))
-        and set(map(type, a.values())) | set(map(type, b.values())) <= {int}
-    )
-
-
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Per-weight witness that the generator monomials form a basis: the
@@ -564,7 +576,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
     _check_index(w, 1, "weight must be >= 1")
     if generators not in ("elementary", "product"):
         raise ValueError(f"unknown generator family {generators!r}")
-    comps, _, get_w = _table(w)
+    comps, get_w = _table(w)
     monos = enumerate_generator_monomials(w)
     if len(comps) != len(monos):
         raise ConsistencyError(
@@ -572,15 +584,8 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
             f"{len(comps)} compositions; transition matrix is not square"
         )
     rows = tuple(range(len(comps)))  # one int object per row, shared by every column
-    columns = []
-    for mono in monos:
-        prefix, last = _column_operands(mono)
-        if not _product_fits(prefix._terms, last._terms, w):
-            raise ConsistencyError(f"expansion of {format_monomial(mono)} is malformed")
-        # each column is summed by code and read in table order: no element
-        values = _mul_column(prefix, last, w, get_w)
-        columns.append((tuple(compress(rows, values)), tuple(filter(None, values))))
-    sparse = tuple(columns)
+    dense = (_column(mono, w, get_w) for mono in monos)
+    sparse = tuple((tuple(compress(rows, v)), tuple(filter(None, v))) for v in dense)
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
     det = _det_unit_pivot([dict(zip(*col)) for col in sparse])
@@ -654,7 +659,7 @@ def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> Gener
     _check_index(n, 1, "need 1 <= n <= order")
     _check_index(order, n, "need 1 <= n <= order")
     make_monomial([(alpha, 1)])  # validates alpha is elementary Lyndon
-    return _product_gens_up_to(alpha, order)[n - 1]
+    return _product_gens_up_to(alpha, n)[n - 1]
 
 
 # -- text and JSON forms ------------------------------------------------------

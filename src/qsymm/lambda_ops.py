@@ -53,7 +53,8 @@ clear_memo = _series_box.cache_clear
 def frobenius(n: int, a: QSymmElement) -> QSymmElement:
     """Adams operator: multiply every part of every composition by n."""
     _check_index(n, 1, "frobenius index must be an integer >= 1")
-    return QSymmElement._from_dict({tuple(n * p for p in comp): q for comp, q in a.terms()})
+    # scaling every part by n keeps the terms distinct and in wll order
+    return QSymmElement._from_sorted({tuple(n * p for p in comp): q for comp, q in a.terms()})
 
 
 @dataclass(frozen=True)

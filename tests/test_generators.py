@@ -53,6 +53,13 @@ from helpers import brute_generator_monomials, cofactor_det, solve_exact
 
 _GENERATOR_FAMILIES = ("elementary", "product")
 
+# A column's expansion made malformed in each way its check catches.
+MALFORMATIONS = [
+    lambda el: el + QSymmElement({(1, 1): 1}),  # a term of another weight
+    lambda el: QSymmElement({(1, 1): 1}),  # only terms of another weight
+    lambda el: el + QSymmElement({(1, 1, 1): Fraction(1, 2)}),  # a non-integral coefficient
+]
+
 
 def product_expansion(mono):
     """The reference expansion of a product-form monomial: its factors'
@@ -305,12 +312,13 @@ class TestPackedVectors:
         keys = list(enumerate_compositions(4) if basis == _COMPOSITIONS else enumerate_generator_monomials(4))
         big = 2**63 - 1
         terms = {keys[0]: -big, keys[3]: big, keys[4]: -1, keys[-1]: big}
-        packed = _pack(terms, 4, basis)
+        packed = _pack([terms.get(key, 0) for key in keys], 4)
         assert packed[2] == big
         out, weights = _packed_sum([(None, 1)], lambda _: packed, basis)
         assert weights == 1
         assert typed(out.items()) == typed(terms.items())
-        assert _pack({keys[1]: 2**63}, 4, basis) == (4, None, 2**63)
+        for top in (2**63, -(2**63)):
+            assert _pack([0, top] + [0] * 6, 4) == (4, None, 2**63)
 
 
 class TestEnumeration:
@@ -581,18 +589,10 @@ class TestCertificates:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert int(proc.stdout) < 13 * 2**20
 
-    @pytest.mark.parametrize(
-        "malform",
-        [
-            lambda el: el + QSymmElement({(1, 1): 1}),  # a term of another weight
-            lambda el: QSymmElement({(1, 1): 1}),  # only terms of another weight
-            lambda el: el + QSymmElement({(1, 1, 1): Fraction(1, 2)}),  # a non-integral coefficient
-        ],
-    )
-    def test_malformed_expansion_is_a_consistency_error(self, monkeypatch, malform):
-        # A column is the product of the operands `_column_operands` gives
-        # and is checked on them; here the bad column's are the unit and its
-        # malformed expansion.
+    @staticmethod
+    def malform_column(monkeypatch, malform):
+        """Patch one weight-3 monomial's operands to the unit and its
+        malformed expansion; return the message its column must raise."""
         bad = enumerate_generator_monomials(3)[2]
         column_operands = generators._column_operands
 
@@ -601,9 +601,25 @@ class TestCertificates:
             return (QSymmElement.one(), malform(prefix * last)) if mono == bad else (prefix, last)
 
         monkeypatch.setattr(generators, "_column_operands", operands)
-        message = f"expansion of {format_monomial(bad)} is malformed"
+        return bad, f"expansion of {format_monomial(bad)} is malformed"
+
+    @pytest.mark.parametrize("malform", MALFORMATIONS)
+    def test_malformed_expansion_is_a_consistency_error(self, monkeypatch, malform):
+        # A column is the product of the operands `_column_operands` gives
+        # and is checked on them (`_column`).
+        _, message = self.malform_column(monkeypatch, malform)
         with pytest.raises(ConsistencyError, match=re.escape(message)):
             freeness_certificate(3)
+
+    @pytest.mark.parametrize("malform", MALFORMATIONS)
+    def test_malformed_expansion_fails_expand(self, monkeypatch, malform):
+        # `expand` packs the same column through the same check; the memos
+        # are cleared so that the bad monomial's column is built afresh
+        bad, message = self.malform_column(monkeypatch, malform)
+        generators._expansion_vector.cache_clear()
+        generators._expand_monomial.cache_clear()
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            expand(GeneratorPolynomial({bad: 1}))
 
     def test_family_defaults_to_elementary(self):
         for w in range(1, 5):
@@ -696,6 +712,28 @@ class TestCertificates:
         assert len(probes) == 512
         assert set(probes) == {"1 1"}
 
+    def test_expand_keeps_no_full_expansion(self):
+        # A fresh interpreter, so that no earlier test fills the memos.
+        # `expand` packs each monomial's column from its prefix's expansion,
+        # so after expanding `express(c)` for every composition of weight
+        # <= 8 the expansion memo holds no monomial of weight 8: each misses.
+        probe = (
+            "from qsymm import QSymmElement, enumerate_compositions, expand, express, generators\n"
+            "for w in range(1, 9):\n"
+            "    for c in enumerate_compositions(w):\n"
+            "        assert expand(express(c)) == QSymmElement.monomial(c)\n"
+            "memo = generators._expand_monomial\n"
+            "for mono in generators.enumerate_generator_monomials(8):\n"
+            "    before = memo.cache_info().misses\n"
+            "    memo(mono)\n"
+            "    print(memo.cache_info().misses > before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(generators.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        probes = proc.stdout.splitlines()
+        assert len(probes) == 128
+        assert set(probes) == {"True"}
+
     def test_certificate_json_shape(self):
         cert = freeness_certificate(3)
         obj = certificate_to_json_obj(cert)
@@ -731,6 +769,17 @@ class TestProductFormGenerators:
     def test_order_independence(self):
         # the k-th factor coefficient is settled at step k
         assert product_gen(3, (1,), order=3) == product_gen(3, (1,), order=6)
+        assert product_gen(3, (1,)) == generators._product_gens_up_to((1,), 6)[2]
+
+    def test_order_adds_no_memo_entry(self):
+        # g_n is read from the table solved up to n, whatever `order` is
+        memo = generators._product_gens_up_to
+        first = product_gen(2, (1,))
+        size = memo.cache_info().currsize
+        assert product_gen(2, (1,), order=12) == first
+        assert memo.cache_info().currsize == size
+        with pytest.raises(ValueError, match="need 1 <= n <= order"):
+            product_gen(3, (1,), order=2)
 
     def test_product_relation_holds(self):
         # multiplying the factors back together recovers the alternating

@@ -10,10 +10,12 @@ sides of the per-pair/trie route choice, products on both sides of the
 weight-256 bound of the per-pair route and far above it, mixed-weight
 rational products of weight 12 and 13 (either side of the per-pair route's
 code tables), an expansion whose coefficients overflow the packed weight
-vectors' 64-bit slots, the JSON `express` of a weight-10 composition, and
-malformed literals. Digests pin `verify-all --max-weight 7 --json`, the
-certificates of weights 9 and 10 and the product-family certificates of
-weights 9, 10 and 11.
+vectors' 64-bit slots, expansions of a weight-12 generator polynomial
+(`expand-packed-w12`, the packed route) and of a weight-13 one
+(`expand-dict-w13`, the dict route), the JSON `express` of a weight-10
+composition, and malformed literals. Digests pin `verify-all --max-weight
+7 --json`, the certificates of weights 9 and 10 and the product-family
+certificates of weights 9, 10 and 11.
 """
 
 import hashlib

@@ -15,6 +15,7 @@ from qsymm.compositions import (
     concat_power,
     enumerate_compositions,
     is_lyndon,
+    wll_key,
 )
 from qsymm import lambda_ops
 from qsymm.elements import QSymmElement
@@ -74,6 +75,24 @@ class TestFrobenius:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             frobenius(0, mono((1,)))
+
+    def test_result_is_built_in_canonical_order(self):
+        # Scaling every part by n is injective and keeps the wll order, so the
+        # result is not re-sorted; its terms straddle the weight-256 bound of
+        # the integer wll ranks, with int and Fraction coefficients.
+        rng = random.Random(29)
+        straddles = 0
+        for n in (1, 2, 3, 5):
+            comps = {tuple(rng.randint(1, 120 // n) for _ in range(rng.randint(1, 5))) for _ in range(60)}
+            coeffs = (rng.choice((rng.randint(-9, 9) or 1, Fraction(rng.randint(1, 9), 7))) for _ in comps)
+            el = QSymmElement(dict(zip(comps, coeffs)))
+            out = list(frobenius(n, el).terms())
+            keys = [c for c, _ in out]
+            assert keys == sorted(keys, key=wll_key, reverse=True)
+            expected = QSymmElement._from_dict({tuple(n * p for p in c): q for c, q in el.terms()})
+            assert [(c, q, type(q)) for c, q in out] == [(c, q, type(q)) for c, q in expected.terms()]
+            straddles += min(map(sum, keys)) <= 256 < max(map(sum, keys))
+        assert straddles == 4
 
 
 class TestLambda:

@@ -19,8 +19,9 @@ import qsymm
 MEMOS = {
     "qsymm.compositions._decode": 1 << 16,
     "qsymm.compositions._format_cached": 4096,
-    # one table per weight 0-12, 4096 compositions and their indices: 1.5 MiB
-    # full, counting the `_decode` entries whose tuples the tables share
+    # one table per weight 0-12, 4096 compositions and a getter by code:
+    # 1.27 MiB full, counting the `_decode` entries whose tuples the tables
+    # share
     "qsymm.compositions._weight_table": 13,
     "qsymm.compositions._wll_rank": 1 << 16,
     "qsymm.elements._delannoy": 1024,
@@ -31,12 +32,13 @@ MEMOS = {
     # products of at most 2**15 terms: about 1.1 GiB full of products the
     # size of lambda_4([1,1])**2
     "qsymm.elements._trie_product": 512,
-    # the prefixes m[:-1] certificate columns multiply out, and the misses of
-    # `_expansion_vector`, whose bound it shares: 79 entries after the
-    # certificates of weight <= 10
+    # the prefixes m[:-1] that columns (`_column`) multiply out, for the
+    # certificates and `_expansion_vector`, and the monomials of `expand`
+    # sums the packed vectors cannot hold: 79 entries after either of
+    # weight <= 10
     "qsymm.generators._expand_monomial": 4096,
-    # one packed vector per key of weight <= 12: 38.9 MiB full, the
-    # vectors alone (their expansions are `_expand_monomial`'s)
+    # one packed vector per monomial of weight <= 12, each packed from its
+    # column, which is not kept: 38.9 MiB full
     "qsymm.generators._expansion_vector": 4096,
     "qsymm.generators._express": None,
     # every monomial of weight <= 12: 1.3 MiB full
@@ -44,8 +46,8 @@ MEMOS = {
     # one packed vector per `express` result of weight <= 12: 37.7 MiB full
     "qsymm.generators._polynomial_vector": 4096,
     "qsymm.generators._product_gens_up_to": None,
-    # one table per weight 0-12, both bases: 0.8 MiB full, counting the
-    # monomials it enumerates; the compositions' index is `_weight_table`'s
+    # one table per weight 0-12, both bases: 0.4 MiB full, counting the
+    # monomials it enumerates; the compositions are `_weight_table`'s
     "qsymm.generators._slot_table": 13,
     "qsymm.lambda_ops._series_box": 4096,
     "qsymm.oracle._packed_expansion": 4096,
