@@ -74,30 +74,44 @@ def _shuffle_codes(a: Composition, b: Composition) -> tuple[tuple[int, int], ...
     if len(a) < len(b):
         a, b = b, a  # b is the shorter word, the row of the pass
     if not b:
-        return ((_encode(a), 1),)
-    if len(b) == 1:
+        counts = {_encode(a): 1}
+    elif len(b) == 1:
         p, code = b[0], _encode(a)
-        counts: dict[int, int] = {}
+        counts = {}
         for t in accumulate(reversed(a), initial=0):
             ins = (code & ((2 << t) - 1)) | (code >> t << (t + p))
             counts[ins] = counts.get(ins, 0) + 1  # p beside an equal part repeats a word
             if t:
                 counts[ins ^ 1 << t] = 1
-        return tuple(counts.items())
-    tops = [1 << t for t in accumulate(reversed(b), initial=0)]  # 1 << B_j, from j = len b down
-    row = [[c] for c in accumulate(tops)]  # a exhausted: the codes of b's suffixes
-    code_a, weight_a = 1, 0
-    for x in reversed(a):
-        weight_a += x
-        code_a |= 1 << weight_a
-        below = [code_a]  # b exhausted
-        new_row = [below]
-        for k in range(1, len(tops)):
-            # take x first, b's part first, or their sum
-            below = list(map((tops[k] << weight_a).__add__, chain(row[k], below, row[k - 1])))
-            new_row.append(below)
-        row = new_row
-    return tuple(Counter(row[-1]).items())
+    else:
+        tops = [1 << t for t in accumulate(reversed(b), initial=0)]  # 1 << B_j, from j = len b down
+        row = [[c] for c in accumulate(tops)]  # a exhausted: the codes of b's suffixes
+        code_a, weight_a = 1, 0
+        for x in reversed(a):
+            weight_a += x
+            code_a |= 1 << weight_a
+            below = [code_a]  # b exhausted
+            new_row = [below]
+            for k in range(1, len(tops)):
+                # take x first, b's part first, or their sum
+                below = list(map((tops[k] << weight_a).__add__, chain(row[k], below, row[k - 1])))
+                new_row.append(below)
+            row = new_row
+        counts = Counter(row[-1])
+    items = tuple(counts.items())
+    w = sum(a) + sum(b)
+    if w > _TABLE_MAX_WEIGHT:
+        return items
+    pairs = _pair_table(w)  # one object per equal pair, across all entries
+    return tuple(map(pairs.setdefault, items, items))
+
+
+@lru_cache(maxsize=_TABLE_MAX_WEIGHT + 1)
+def _pair_table(w: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The (code, multiplicity) pairs of weight w that `_shuffle_codes`
+    entries hold, each keyed by itself: equal pairs, and so their code ints,
+    are one object across every entry, not one per entry."""
+    return {}
 
 
 def _sum_pairs(ta: dict[Composition, Scalar], tb: dict[Composition, Scalar], table: list[Scalar]) -> list[Scalar]:

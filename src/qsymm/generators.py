@@ -407,9 +407,10 @@ def det_bareiss(rows: Iterable[Iterable[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
+def _det_unit_pivot(rows: Sequence[tuple[Sequence[int], Sequence[int]]]) -> int:
     """Exact determinant of the square matrix whose i-th row is `rows[i]`,
-    given sparsely as {column: nonzero entry} with columns in range(n).
+    given sparsely as (ascending column indices, their nonzero entries) with
+    columns in range(n). The rows are read, never modified.
 
     Eliminates with +1/-1 pivots only, so no step divides. It passes over
     the columns not yet eliminated in index order. A column that holds a
@@ -419,23 +420,25 @@ def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
     index order is the canonical order of the compositions, and taking the
     columns in it keeps the row-update work low. When a pass eliminates
     nothing, what is left goes to `det_bareiss`. Each column is indexed by
-    one int whose bit r is set when row r has a nonzero there. The dicts
-    are consumed.
+    one int whose bit r is set when row r has a nonzero there. A row is
+    copied into a {column: entry} dict only when the elimination first
+    reads it, and a pivot row's dict is dropped once its updates are done.
 
     Column 0 has no unit entry until column 1's pivot turns its 3 into 1:
 
-    >>> _det_unit_pivot([{0: 2, 1: 1}, {0: 3, 1: 1}])
+    >>> _det_unit_pivot([((0, 1), (2, 1)), ((0, 1), (3, 1))])
     -1
     """
     n = len(rows)
     # a byte-OR per nonzero costs less than a big-int OR; then one int per column
     index = [bytearray((n + 7) >> 3) for _ in range(n)]
-    for r, row in enumerate(rows):
+    for r, (cols, _) in enumerate(rows):
         byte, bit = r >> 3, 1 << (r & 7)
-        for c in row:
+        for c in cols:
             index[c][byte] |= bit
     masks = [int.from_bytes(m, "little") for m in index]
     del index
+    reached: list[dict[int, int] | None] = [None] * n  # the dicts of the rows read so far
     det = 1
     pivot_col: dict[int, int] = {}
     pending = list(range(n))
@@ -448,21 +451,24 @@ def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
             # the bits ascend, so a strict `<` keeps the lowest of the shortest rows
             r, best = -1, n + 1
             for s in _set_bits(mask):
-                row = rows[s]
+                row = reached[s]
+                if row is None:
+                    row = reached[s] = dict(zip(*rows[s]))
                 if row[c] in (1, -1) and len(row) < best:
                     r, best = s, len(row)
             if r < 0:
                 deferred.append(c)
                 continue
             bit = 1 << r
-            pivot_row = rows[r]
+            pivot_row = reached[r]
+            reached[r] = None  # no mask holds r after this pivot
             p = pivot_row.pop(c)
             det *= p
             pivot_col[r] = c
             for k in pivot_row:
                 masks[k] ^= bit
             for s in _set_bits(mask ^ bit):
-                row = rows[s]
+                row = reached[s]
                 f = row.pop(c) * p
                 row_bit = 1 << s
                 for k, v in pivot_row.items():
@@ -484,7 +490,8 @@ def _det_unit_pivot(rows: list[dict[int, int]]) -> int:
         rest_rows = [r for r in range(n) if r not in pivot_col]
         for r, c in zip(rest_rows, pending):
             pivot_col[r] = c
-        det *= det_bareiss([[rows[r].get(c, 0) for c in pending] for r in rest_rows])
+        # a row that no pending column reaches is zero there
+        det *= det_bareiss([[(reached[r] or {}).get(c, 0) for c in pending] for r in rest_rows])
     return _permutation_sign(pivot_col) * det
 
 
@@ -585,13 +592,12 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         )
     rows = tuple(range(len(comps)))  # one int object per row, shared by every column
     dense = (_column(mono, w, get_w) for mono in monos)
-    sparse = tuple((tuple(compress(rows, v)), tuple(filter(None, v))) for v in dense)
+    sparse = [(tuple(compress(rows, v)), tuple(filter(None, v))) for v in dense]
     # the columns of the matrix are the rows of its transpose, which has
     # the same determinant
-    det = _det_unit_pivot([dict(zip(*col)) for col in sparse])
+    det = _det_unit_pivot(sparse)
     if generators == "product":
-        sparse, diagonal = _product_columns(monos, sparse, rows)
-        det *= diagonal
+        det *= _product_columns(monos, sparse, rows)
     if det not in (1, -1):
         raise ConsistencyError(
             f"weight {w} transition matrix has determinant {det}, not +1/-1"
@@ -601,7 +607,7 @@ def freeness_certificate(w: int, generators: str = "elementary") -> FreenessCert
         determinant=det,
         row_order=comps,
         col_order=tuple(monos),
-        columns=sparse,
+        columns=tuple(sparse),
     )
 
 
@@ -622,24 +628,28 @@ def _product_gens_up_to(alpha: Composition, order: int) -> tuple[GeneratorPolyno
     return tuple(gens)
 
 
-def _product_columns(monos: list[GeneratorMonomial], elementary: tuple, rows: tuple) -> tuple[tuple, int]:
-    """The product family's sparse columns M_elem * T over `rows`, given the
-    elementary family's, and det T. Column m of T, the g_n(alpha) of m's
-    factors multiplied in elementary monomials, must be +1 or -1 times m
-    plus only monomials with more factors: T is triangular by factor count."""
+def _product_columns(monos: list[GeneratorMonomial], columns: list, rows: tuple) -> int:
+    """Turn the elementary family's sparse `columns` over `rows` into the
+    product family's, M_elem * T, in place, and return det T. Column m of T,
+    the g_n(alpha) of m's factors multiplied in elementary monomials, must be
+    +1 or -1 times m plus only monomials with more factors: T is triangular
+    by factor count. So the columns are rewritten by ascending factor count,
+    and each reads only elementary columns, its own among them, which it
+    then replaces."""
     col_of = {m: j for j, m in enumerate(monos)}
-    columns, det = [], 1
-    for mono in monos:
+    det = 1
+    for j in sorted(range(len(monos)), key=lambda j: len(monos[j])):
+        mono = monos[j]
         t = prod((_product_gens_up_to(alpha, n)[-1] for alpha, n in mono), start=_UNIT)
         det *= t.coefficient(mono)  # stays +1 or -1 just when this diagonal entry is
         if det not in (1, -1) or any(m not in col_of or m != mono and len(m) <= len(mono) for m in t._terms):
             raise ConsistencyError(f"product form of {format_monomial(mono)} is not unitriangular")
         values = [0] * len(rows)
         for m, c in t._terms.items():
-            for i, q in zip(*elementary[col_of[m]]):
+            for i, q in zip(*columns[col_of[m]]):
                 values[i] += c * q
-        columns.append((tuple(compress(rows, values)), tuple(filter(None, values))))
-    return tuple(columns), det
+        columns[j] = (tuple(compress(rows, values)), tuple(filter(None, values)))
+    return det
 
 
 def product_gen(n: int, alpha: Iterable[int], order: int | None = None) -> GeneratorPolynomial:

@@ -13,7 +13,7 @@ from functools import cache
 
 import pytest
 
-from qsymm import elements
+from qsymm import elements, freeness_certificate
 from qsymm.compositions import _decode, _encode, _weight_table, _wll_rank, enumerate_compositions, wll_key
 from qsymm.elements import (
     QSymmElement,
@@ -413,6 +413,28 @@ class TestPackedCodes:
             assert len(decoded) == len(codes)  # each code appears once
             assert decoded == tuple_shuffle(a, b)
             assert dict(quasi_shuffle(a, b).terms()) == tuple_shuffle(a, b)
+
+    def test_equal_pairs_are_one_object(self):
+        # Both memos are cleared, so that every entry goes through one pair
+        # table per weight. The certificates of weight <= 8 ask only for
+        # word pairs of weight <= 8, the empty word among them, the smaller
+        # word first; asking for all of those reads each of their entries
+        # again, and builds the rest.
+        _shuffle_codes.cache_clear()
+        elements._pair_table.cache_clear()
+        for w in range(1, 9):
+            freeness_certificate(w)
+        before = _shuffle_codes.cache_info()
+        words = [()] + nonempty_up_to(8)
+        seen, count = {}, 0
+        for a in words:
+            for b in words:
+                if a <= b and sum(a) + sum(b) <= 8:
+                    for pair in _shuffle_codes(a, b):
+                        assert seen.setdefault(pair, pair) is pair
+                        count += 1
+        assert _shuffle_codes.cache_info().hits - before.hits == before.currsize > 0
+        assert count > 2 * len(seen)
 
     def test_pairwise_result_is_canonical(self):
         # (1/2*[1] + [2]) * (2*[1] - [2]): the Fraction products 1/2 * 2

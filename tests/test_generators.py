@@ -1,5 +1,6 @@
 """Generator polynomials, the constructive rewriting, and certificates."""
 
+import copy
 import json
 import os
 import random
@@ -380,8 +381,14 @@ class TestDeterminant:
             det_bareiss([[1, 2]])
 
 
+def sparse_rows(m):
+    """The rows of a dense matrix as `_det_unit_pivot` takes them: (ascending
+    column indices, their nonzero entries)."""
+    return [(tuple(j for j, v in enumerate(row) if v), tuple(v for v in row if v)) for row in m]
+
+
 def unit_pivot_det(m):
-    return _det_unit_pivot([{j: v for j, v in enumerate(row) if v} for row in m])
+    return _det_unit_pivot(sparse_rows(m))
 
 
 class TestUnitPivotDeterminant:
@@ -450,6 +457,21 @@ class TestUnitPivotDeterminant:
             for w in range(1, 12):
                 assert freeness_certificate(w, family).is_unimodular
 
+    def test_input_rows_are_left_as_they_were(self):
+        # rows given as lists, which the elimination could change in place;
+        # the first hand matrix defers two columns, the last two leave a
+        # Bareiss remainder
+        matrices = [freeness_certificate(w).matrix for w in range(1, 7)] + [
+            [[3, -2, 1], [2, 0, 1], [-2, 3, 0]],
+            [[1, 0, 0], [0, 2, 3], [0, 3, 5]],
+            [[2, 1, 0], [0, 2, 3], [4, 3, 5]],
+        ]
+        for m in matrices:
+            rows = [[list(index), list(entries)] for index, entries in sparse_rows(m)]
+            before = copy.deepcopy(rows)
+            assert _det_unit_pivot(rows) == det_bareiss(m)
+            assert rows == before
+
     def test_permuted_certificate_matrices(self, monkeypatch):
         """Permuted rows and columns send the elimination through deferred
         columns and Bareiss remainders, which the table order does not reach
@@ -484,7 +506,7 @@ class TestUnitPivotDeterminant:
                     expected = inversion_sign(row_perm) * inversion_sign(col_perm) * cert.determinant
                     with monkeypatch.context() as patched:
                         patched.setattr(generators, "det_bareiss", spy)
-                        det = _det_unit_pivot(permuted)
+                        det = _det_unit_pivot(sparse_rows(dense))
                     assert det == expected == det_bareiss(dense)
             if family == "elementary":
                 assert widths, "no permuted elementary matrix left a Bareiss remainder"
@@ -573,9 +595,10 @@ class TestCertificates:
         # benchmark's pass does. A fresh interpreter, so that no earlier
         # test's memo entries lower the peak; tracing starts just before the
         # call, so the peak counts only what the call allocates. It reads
-        # 10.5-10.7 MiB on CPython 3.10-3.13, so the bound leaves 21 %
-        # headroom; a dense copy of the matrix in the call, or sets of row
-        # indices in the elimination, cross it.
+        # 4.2 MiB on CPython 3.11, so the bound leaves 31 % headroom. Copying
+        # every column into a dict row before the elimination, with fresh
+        # pairs in every shuffle memo entry, read 6.7 MiB; a dense copy of
+        # the matrix in the call (2 MiB of pointers) crosses it too.
         probe = (
             "import tracemalloc\n"
             "from qsymm import freeness_certificate\n"
@@ -587,7 +610,7 @@ class TestCertificates:
         )
         env = dict(os.environ, PYTHONPATH=str(Path(generators.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert int(proc.stdout) < 13 * 2**20
+        assert int(proc.stdout) < 5.5 * 2**20
 
     @staticmethod
     def malform_column(monkeypatch, malform):
@@ -686,8 +709,9 @@ class TestCertificates:
         # A fresh interpreter, so that no earlier test fills the memos. After
         # w = 1..10, with the certificates dropped, the expansion memo holds
         # only the monomials' prefixes: a weight-10 monomial misses it once,
-        # its prefix hits. The memory left is 4.3 MiB; keeping every column
-        # held 8.1 MiB.
+        # its prefix hits. The memory left is 1.7 MiB on CPython 3.11;
+        # keeping every column held 8.1 MiB, and a fresh (code, multiplicity)
+        # tuple for every shuffle memo entry, not one per equal pair, 4.3 MiB.
         probe = (
             "import gc, tracemalloc\n"
             "tracemalloc.start()\n"
@@ -708,7 +732,7 @@ class TestCertificates:
         env = dict(os.environ, PYTHONPATH=str(Path(generators.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         held, *probes = proc.stdout.splitlines()
-        assert int(held) < 6 * 2**20
+        assert int(held) < 2.5 * 2**20
         assert len(probes) == 512
         assert set(probes) == {"1 1"}
 

@@ -25,6 +25,9 @@ MEMOS = {
     "qsymm.compositions._weight_table": 13,
     "qsymm.compositions._wll_rank": 1 << 16,
     "qsymm.elements._delannoy": 1024,
+    # one {pair: pair} table per weight 0-12, so that equal (code,
+    # multiplicity) pairs of `_shuffle_codes` entries are one object
+    "qsymm.elements._pair_table": 13,
     # the word pairs per-pair products ask for: 14.2 MiB full with those of
     # the certificates of weight <= 12; the route keeps each entry to 16000
     # codes or fewer

@@ -1,9 +1,9 @@
 """The package's memo tables under concurrent use.
 
-The product cache, the quasi-shuffle memo and the lambda-series table are
-lru_caches shared by every thread of the process. Threads that fill and
-evict them at the same time must get the answers one thread gets, and no
-thread may raise. The lambda-series table is too large to fill in a test,
+The product cache, the quasi-shuffle memo with its per-weight pair tables
+and the lambda-series table are lru_caches shared by every thread of the
+process. Threads that fill and evict them at the same time must get the
+answers one thread gets, and no thread may raise. The lambda-series table is too large to fill in a test,
 so a thread clears it over and over while the others grow its series.
 """
 
@@ -14,7 +14,7 @@ import threading
 
 from qsymm import QSymmElement, lambda_n
 from qsymm.compositions import enumerate_compositions
-from qsymm.elements import _PRODUCT_CACHE_CAP, _mul_pairwise, _trie_product
+from qsymm.elements import _PRODUCT_CACHE_CAP, _mul_pairwise, _pair_table, _shuffle_codes, _trie_product
 from qsymm.lambda_ops import clear_memo
 
 THREADS = 8
@@ -60,6 +60,9 @@ def test_products_overflowing_the_cache():
     els = _random_elements(rng, 40, lambda r: SHORT + r.sample(enumerate_compositions(4), 2))
     pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
     expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
+    # the threads fill the memo, and the pair tables its entries share, anew
+    _shuffle_codes.cache_clear()
+    _pair_table.cache_clear()
 
     def work(k):
         mine = pairs[k::THREADS]
@@ -83,6 +86,9 @@ def test_trie_products_overflowing_the_cache():
     els = [QSymmElement(dict(zip(words, c))) for c in rng.sample(coeffs, 33)]
     pairs = [(i, j) for i in range(len(els)) for j in range(i, len(els))]
     expected = {(i, j): QSymmElement._from_dict(_mul_pairwise(els[i], els[j])) for i, j in pairs}
+    # the threads fill the memo, and the pair tables its entries share, anew
+    _shuffle_codes.cache_clear()
+    _pair_table.cache_clear()
 
     def work(k):
         mine = pairs[k::THREADS]
